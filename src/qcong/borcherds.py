@@ -101,13 +101,13 @@ def exact_c1(params: TwistParams) -> int:
 
 
 def phi_star(params: TwistParams, upto: int, ring: Ring,
-             tables: MockTables = None, threads: int = 1) -> PhiStar:
+             tables: MockTables = None) -> PhiStar:
     """Normalized expansion sum b(n) q^n with b(1) = 1, coefficients known
     through index `upto` (series precision upto + 1)."""
     c1 = exact_c1(params)
     if c1 == 0:
         raise ZeroNormalizer(f"c(1) = 0 for (delta, r) = ({params.delta}, {params.r})")
-    c = c_series(params.delta, params.r, upto, ring, tables, threads)
+    c = c_series(params.delta, params.r, upto, ring, tables)
     b = [0] * (upto + 1)
     for n in range(1, upto + 1):
         b[n] = b_from_c(c, n, params.delta, ring)

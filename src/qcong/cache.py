@@ -12,9 +12,13 @@ Header fields: format, encoding, function (f | omega | phi_star), delta, r,
 modulus, prec, created.  For the index-0 functions f and omega the payload
 has prec + 1 entries (indices 0..prec); for phi_star it has prec entries
 (indices 1..prec).
+
+Files are written under a temporary name in the target directory and then
+renamed into place, so a reader never sees a partly written file.
 """
 
 import json
+import os
 import struct
 from datetime import datetime, timezone
 from pathlib import Path
@@ -24,7 +28,8 @@ FORMAT_TAG = "qser1"
 
 
 class CacheError(Exception):
-    """Unreadable, corrupt, or mismatched cache file."""
+    """Unreadable, corrupt, or mismatched cache file, or a cache directory
+    that cannot be written."""
 
 
 def _payload_len(function: str, prec: int) -> int:
@@ -53,7 +58,6 @@ def save_coeffs(directory, function: str, values: list, modulus: int,
             f"payload length {len(values)} does not match prec {prec} for {function}"
         )
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     header = {
         "format": FORMAT_TAG,
         "encoding": encoding,
@@ -71,14 +75,33 @@ def save_coeffs(directory, function: str, values: list, modulus: int,
             body = "\n".join(str(v) for v in values).encode() + b"\n"
         else:
             body = json.dumps(values).encode() + b"\n"
-        path.write_bytes(head + body)
     else:
         if any(v < 0 or v >= 1 << 64 for v in values):
             raise ValueError("binary words must fit an unsigned 64-bit integer")
-        blob = MAGIC + struct.pack("<Q", len(values))
-        blob += b"".join(struct.pack("<Q", v) for v in values)
-        path.write_bytes(head + blob)
+        body = MAGIC + struct.pack("<Q", len(values))
+        body += b"".join(struct.pack("<Q", v) for v in values)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        _write_atomic(path, head + body)
+    except OSError as exc:
+        raise CacheError(f"cannot write {path}: {exc}") from exc
     return path
+
+
+def _write_atomic(path: Path, data: bytes):
+    """Write a new file next to `path` and rename it into place, so that a
+    concurrent reader sees either the old file or the whole new one."""
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            tmp.unlink()
+        except OSError:
+            pass
+        raise
 
 
 def load_coeffs(path) -> tuple:

@@ -1,7 +1,8 @@
 """Command-line surface: coefficient tables, twisted expansions, Hecke
 eigenchecks, congruence certification, expression evaluation, prime scans.
 
-Exit codes: 0 success, 2 usage or input error, 3 cache corruption,
+Exit codes: 0 success, 2 usage or input error, 3 cache error (corrupt
+file or unusable cache directory),
 4 degenerate normalizer (c(1) = 0), 5 failed eigencheck, 6 failed
 certification.
 """
@@ -60,14 +61,14 @@ def _load_table(directory, function, modulus, upto, delta=None, r=None):
     return hit[1] if hit else None
 
 
-def _coeff_table(function, upto, modulus, directory, threads, encoding="text"):
+def _coeff_table(function, upto, modulus, directory, encoding="text"):
     """Fetch or compute a(0..upto) for f/omega, persisting through the cache."""
     if directory:
         values = _load_table(directory, function, modulus, upto)
         if values is not None:
             return values[: upto + 1]
     builder = omega_coeffs if function == "omega" else f_coeffs
-    values = builder(upto, _ring(modulus), threads).values
+    values = builder(upto, _ring(modulus)).values
     if directory:
         cache.save_coeffs(directory, function, values, modulus, upto,
                           encoding=encoding)
@@ -79,13 +80,8 @@ def cmd_coeffs(args) -> int:
     if args.exact and modulus:
         print("--exact and --modulus are mutually exclusive", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        values = _coeff_table(args.function, args.upto, modulus,
-                              _cache_dir(args), args.threads,
-                              "binary" if args.binary_cache and modulus else "text")
-    except cache.CacheError as exc:
-        print(f"cache error: {exc}", file=sys.stderr)
-        return EXIT_CACHE
+    values = _coeff_table(args.function, args.upto, modulus, _cache_dir(args),
+                          "binary" if args.binary_cache and modulus else "text")
     if args.json:
         _emit_json({
             "command": "coeffs", "function": args.function,
@@ -117,7 +113,7 @@ def cmd_phi(args) -> int:
         if values is None:
             if c1 == 0:
                 raise ZeroNormalizer(f"c(1) = 0 for ({args.delta}, {args.r})")
-            phi = phi_star(params, args.prec, _ring(modulus), threads=args.threads)
+            phi = phi_star(params, args.prec, _ring(modulus))
             values = phi.series.coeffs[1:]
             if directory:
                 cache.save_coeffs(directory, "phi_star", values, modulus,
@@ -125,9 +121,6 @@ def cmd_phi(args) -> int:
     except ZeroNormalizer as exc:
         print(f"degenerate normalizer: {exc}", file=sys.stderr)
         return EXIT_NORMALIZER
-    except cache.CacheError as exc:
-        print(f"cache error: {exc}", file=sys.stderr)
-        return EXIT_CACHE
     if args.json:
         _emit_json({
             "command": "phi", "delta": args.delta, "r": args.r,
@@ -171,8 +164,7 @@ def _run_eigencheck(args, prec):
     depth = args.p * (prec + 1) - 1
     tables = _warm_tables(_cache_dir(args), ring,
                           required_depth(args.delta, args.r, depth))
-    report = eigencheck(params, setting, args.p, args.lam, prec, tables,
-                        threads=args.threads)
+    report = eigencheck(params, setting, args.p, args.lam, prec, tables)
     _save_tables(_cache_dir(args), tables)
     return params, setting, tables, report
 
@@ -183,9 +175,6 @@ def cmd_heckecheck(args) -> int:
     except (ValueError, NotInvertible) as exc:
         print(f"invalid eigencheck request: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except cache.CacheError as exc:
-        print(f"cache error: {exc}", file=sys.stderr)
-        return EXIT_CACHE
     out = {"command": "heckecheck"}
     out.update(report.to_dict())
     _emit_json(out)
@@ -202,9 +191,6 @@ def cmd_certify(args) -> int:
     except (ValueError, NotInvertible) as exc:
         print(f"invalid certification request: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except cache.CacheError as exc:
-        print(f"cache error: {exc}", file=sys.stderr)
-        return EXIT_CACHE
     if not report.certified:
         print(f"eigencheck failed at q^{report.first_failure}; "
               "certification prerequisites not met", file=sys.stderr)
@@ -218,7 +204,7 @@ def cmd_certify(args) -> int:
     for kind in {k for _, k, _, _ in predictions}:
         deepest = max(i for _, k, i, _ in predictions if k == kind)
         tables_by_kind[kind] = _coeff_table(kind, deepest, setting.modulus,
-                                            _cache_dir(args), args.threads)
+                                            _cache_dir(args))
     rows = []
     all_match = True
     for M, kind, index, predicted in predictions:
@@ -278,8 +264,7 @@ def cmd_scan(args) -> int:
     tables = _warm_tables(_cache_dir(args), ring,
                           required_depth(args.delta, args.r, max(max_depth, 1)))
     try:
-        rows = density_scan(params, setting, args.bound, args.prec, tables,
-                            threads=args.threads)
+        rows = density_scan(params, setting, args.bound, args.prec, tables)
     except (ValueError, NotInvertible) as exc:
         print(f"scan failed: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -303,8 +288,6 @@ def cmd_scan(args) -> int:
 
 def _add_common(sub, cache_opt=True):
     sub.add_argument("--json", action="store_true", help="emit JSON")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads (results are independent of this)")
     if cache_opt:
         sub.add_argument("--cache-dir", default=None,
                          help=f"coefficient cache directory (or ${ENV_CACHE_DIR})")
@@ -371,8 +354,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # A check through q^0 checks nothing, so it must not certify anything.
+    if getattr(args, "prec", None) is not None and args.prec < 1:
+        print(f"--prec must be at least 1, got {args.prec}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
+    except cache.CacheError as exc:
+        print(f"cache error: {exc}", file=sys.stderr)
+        return EXIT_CACHE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,7 +1,6 @@
 """Hecke operators on truncated expansions, Sturm bounds, pole-clearing
 weight bookkeeping, eigencheck certification mod ell^R, prime scans."""
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -127,7 +126,7 @@ class HeckeCheckReport:
 
 def eigencheck(params: TwistParams, setting: CongruenceSetting, p: int,
                lam: int, prec: int, tables: MockTables = None,
-               threads: int = 1, _phi: PhiStar = None) -> HeckeCheckReport:
+               _phi: PhiStar = None) -> HeckeCheckReport:
     """Verify Phi* | T_{p,k} = lam * Phi* (mod ell^R) coefficientwise
     through q^prec.
 
@@ -135,6 +134,8 @@ def eigencheck(params: TwistParams, setting: CongruenceSetting, p: int,
     known through q^prec, applies the Hecke operator at the pole-clearing
     weight, and reports the first failing index if any.
     """
+    if prec < 1:
+        raise ValueError(f"prec = {prec} must be at least 1")
     if not is_prime(p) or p in (2, 3, setting.ell):
         raise ValueError(f"p = {p} must be a prime outside {{2, 3, ell}}")
     if splitting_type(setting.ell, params.delta) == "split":
@@ -143,7 +144,7 @@ def eigencheck(params: TwistParams, setting: CongruenceSetting, p: int,
     depth = p * (prec + 1) - 1
     phi = _phi
     if phi is None or phi.series.prec <= depth:
-        phi = phi_star(params, depth, ring, tables, threads)
+        phi = phi_star(params, depth, ring, tables)
     transformed = hecke_operator(phi.series, p, setting.k)
     reference = Series(ring, phi.series.coeffs[: prec + 1]).scale(lam)
     first = None
@@ -165,8 +166,7 @@ def eigencheck(params: TwistParams, setting: CongruenceSetting, p: int,
 
 
 def density_scan(params: TwistParams, setting: CongruenceSetting,
-                 prime_bound: int, prec: int, tables: MockTables = None,
-                 threads: int = 1) -> list:
+                 prime_bound: int, prec: int, tables: MockTables = None) -> list:
     """Classify every prime p <= prime_bound (p not in {2, 3, ell}) by its
     eigen behaviour mod ell^R: lambda = 0, lambda = 2, lambda = b(p), or
     'other' with the first residual index.
@@ -178,9 +178,9 @@ def density_scan(params: TwistParams, setting: CongruenceSetting,
         return []
     ring = Ring(setting.modulus)
     if tables is None:
-        tables = MockTables(ring, threads)
+        tables = MockTables(ring)
     max_depth = max(p * (prec + 1) - 1 for p in primes)
-    phi = phi_star(params, max_depth, ring, tables, threads)
+    phi = phi_star(params, max_depth, ring, tables)
 
     def classify(p):
         for lam, label in ((0, "0"), (2, "2")):
@@ -193,9 +193,6 @@ def density_scan(params: TwistParams, setting: CongruenceSetting,
             return (p, "b(p)", bp, None)
         return (p, "other", bp, rep.first_failure)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(classify, primes))
     return [classify(p) for p in primes]
 
 

@@ -2,7 +2,6 @@
 dictionary mapping twisted index pairs to signed f/omega coefficients."""
 
 from dataclasses import dataclass
-from operator import add
 
 from .series import EXACT, Ring, binomial_inverse_inplace
 
@@ -19,64 +18,55 @@ class MockCoeffTable:
     values: list          # values[n] = a(n) for 0 <= n <= upto
 
 
-def omega_coeffs(N: int, ring: Ring = EXACT, threads: int = 1) -> MockCoeffTable:
+# Power of (-q;q)_n in the denominator of f's summands.
+F_DENOMINATOR_EXPONENT = 1
+
+
+def omega_coeffs(N: int, ring: Ring = EXACT) -> MockCoeffTable:
     """a_omega(0..N) for omega(q) = sum_n q^(2n(n+1)) / ((1-q)(1-q^3)...(1-q^(2n+1)))^2.
 
-    Iterative scheme: one new factor (1 - q^(2n+1))^(-2) folded into a running
-    product per summand, each an O(N) recurrence pass; the running product is
-    truncated to the length still reachable by later summands.
+    Nested (Horner) scheme from the deepest reachable summand outwards:
+    T_n = (1 + q^(4(n+1)) T_(n+1)) / (1 - q^(2n+1))^2 and omega = T_0, with
+    T_n kept to the N + 1 - 2n(n+1) coefficients it contributes.  Each level
+    is one binomial-inverse call, so a_omega(0..N) costs O(sqrt N) passes of
+    at most O(N) each.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
     m = ring.modulus
-    vals = [0] * (N + 1)
-    run = [0] * (N + 1)
-    run[0] = 1
     n = 0
-    while True:
-        offset = 2 * n * (n + 1)
-        if offset > N:
-            break
-        need = N + 1 - offset
-        if len(run) > need:
-            del run[need:]
-        binomial_inverse_inplace(run, 2 * n + 1, 1, 2, m, threads)
-        if m:
-            vals[offset:] = [(a + b) % m for a, b in zip(vals[offset:], run)]
-        else:
-            vals[offset:] = list(map(add, vals[offset:], run))
+    while 2 * (n + 1) * (n + 2) <= N:
         n += 1
-    return MockCoeffTable("omega", ring, N, vals)
+    t = [1] + [0] * (N - 2 * n * (n + 1))
+    while True:
+        binomial_inverse_inplace(t, 2 * n + 1, 1, 2, m)
+        if n == 0:
+            break
+        t[:0] = [1] + [0] * (4 * n - 1)
+        n -= 1
+    return MockCoeffTable("omega", ring, N, t)
 
 
-def f_coeffs(N: int, ring: Ring = EXACT, threads: int = 1) -> MockCoeffTable:
-    """a_f(0..N) for f(q) = sum_n q^(n^2) / ((1+q)(1+q^2)...(1+q^n)),
-    the series whose expansion begins 1 + q - q^2 + q^3 - q^6 + q^7 + ...
+def f_coeffs(N: int, ring: Ring = EXACT) -> MockCoeffTable:
+    """a_f(0..N) for f(q) = sum_n q^(n^2) / ((1+q)(1+q^2)...(1+q^n))^e with
+    e = F_DENOMINATOR_EXPONENT; for e = 1 the expansion begins
+    1 + q - q^2 + q^3 - q^6 + q^7 + ...
 
-    Same iterative scheme as omega_coeffs with factors (1 + q^n)^(-1).
+    Same nested scheme as omega_coeffs: T_n = 1 + q^(2n+1) T_(n+1) / (1 + q^(n+1))^e
+    and f = T_0, with T_n kept to N + 1 - n^2 coefficients.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
     m = ring.modulus
-    vals = [0] * (N + 1)
-    run = [0] * (N + 1)
-    run[0] = 1
     n = 0
-    while True:
-        offset = n * n
-        if offset > N:
-            break
-        need = N + 1 - offset
-        if len(run) > need:
-            del run[need:]
-        if n:
-            binomial_inverse_inplace(run, n, -1, 1, m, threads)
-        if m:
-            vals[offset:] = [(a + b) % m for a, b in zip(vals[offset:], run)]
-        else:
-            vals[offset:] = list(map(add, vals[offset:], run))
+    while (n + 1) * (n + 1) <= N:
         n += 1
-    return MockCoeffTable("f", ring, N, vals)
+    t = [1] + [0] * (N - n * n)
+    while n:
+        binomial_inverse_inplace(t, n, -1, F_DENOMINATOR_EXPONENT, m)
+        t[:0] = [1] + [0] * (2 * n - 2)
+        n -= 1
+    return MockCoeffTable("f", ring, N, t)
 
 
 _BUILDERS = {"f": f_coeffs, "omega": omega_coeffs}
@@ -89,15 +79,14 @@ class MockTables:
     from scratch (callers should ensure the maximum depth up front).
     """
 
-    def __init__(self, ring: Ring = EXACT, threads: int = 1):
+    def __init__(self, ring: Ring = EXACT):
         self.ring = ring
-        self.threads = threads
         self._tables = {"f": [], "omega": []}
 
     def ensure(self, which: str, upto: int):
         t = self._tables[which]
         if len(t) <= upto:
-            self._tables[which] = _BUILDERS[which](upto, self.ring, self.threads).values
+            self._tables[which] = _BUILDERS[which](upto, self.ring).values
         return self
 
     def preload(self, which: str, values: list):
@@ -192,11 +181,11 @@ def required_depth(delta: int, r: int, D: int) -> dict:
     return out
 
 
-def c_series(delta: int, r: int, D: int, ring: Ring, tables: MockTables = None,
-             threads: int = 1) -> list:
+def c_series(delta: int, r: int, D: int, ring: Ring,
+             tables: MockTables = None) -> list:
     """c(d) for d = 1..D as a list with c[0] = 0, growing tables as needed."""
     if tables is None:
-        tables = MockTables(ring, threads)
+        tables = MockTables(ring)
     if tables.ring != ring:
         raise ValueError("tables ring does not match requested ring")
     depths = required_depth(delta, r, D)

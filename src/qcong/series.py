@@ -7,7 +7,6 @@ binomial-inverse recurrence passes, which run as C-level cumulative
 sums over residue lanes.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, gcd
@@ -73,75 +72,47 @@ class Ring:
 EXACT = Ring(0)
 
 
-def _lane_map(step: int, worker, threads: int):
-    # Residue lanes are independent; results are written back after all
-    # lanes are computed, so the outcome does not depend on thread count.
-    if threads > 1 and step > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(worker, range(step)))
-    return [worker(r) for r in range(step)]
-
-
 def binomial_inverse_inplace(coeffs: list, step: int, sign: int,
-                             exponent: int, modulus: int, threads: int = 1):
+                             exponent: int, modulus: int):
     """Multiply the coefficient list by (1 - sign*q^step)^(-exponent) in place.
 
     Each exponent unit is one O(len) recurrence pass c[n] += sign*c[n-step],
     realised as a cumulative sum along every residue lane mod step (with an
     alternating twist when sign = -1).  Pairs of sign=+1 passes are fused
-    into a single double cumulative sum.
+    into a single double cumulative sum.  For sign=+1 the sums are reduced
+    mod m as they stream out, so no unreduced lane is ever held in memory.
     """
     if step < 1 or exponent < 1 or sign not in (1, -1):
         raise ValueError("need step >= 1, exponent >= 1, sign = +-1")
-    L = len(coeffs)
-    if step >= L:
+    if step >= len(coeffs):
         return
     remaining = exponent
     while remaining > 0:
         double = remaining >= 2 and sign == 1
-
-        def worker(r, double=double):
-            lane = coeffs[r::step] if step > 1 else coeffs[:]
+        for r in range(step):
+            lane = coeffs[r::step]
             if sign == -1:
                 lane[1::2] = [-v for v in lane[1::2]]
             acc = accumulate(accumulate(lane)) if double else accumulate(lane)
-            lane = list(acc)
             if sign == -1:
+                lane = list(acc)
                 lane[1::2] = [-v for v in lane[1::2]]
-            if modulus:
-                lane = [v % modulus for v in lane]
-            return lane
-
-        lanes = _lane_map(step, worker, threads)
-        if step > 1:
-            for r, lane in enumerate(lanes):
-                coeffs[r::step] = lane
-        else:
-            coeffs[:] = lanes[0]
+                acc = lane
+            coeffs[r::step] = [v % modulus for v in acc] if modulus else list(acc)
         remaining -= 2 if double else 1
 
 
-def _convolve(a: list, b: list, out_len: int, modulus: int, threads: int = 1) -> list:
+def _convolve(a: list, b: list, out_len: int, modulus: int) -> list:
     la, lb = len(a), len(b)
-
-    def block(n_range):
-        out = []
-        for n in n_range:
-            lo = 0 if n < lb else n - lb + 1
-            hi = min(n, la - 1)
-            s = 0
-            for i in range(lo, hi + 1):
-                s += a[i] * b[n - i]
-            out.append(s % modulus if modulus else s)
-        return out
-
-    if threads > 1 and out_len >= 256:
-        chunk = (out_len + threads - 1) // threads
-        ranges = [range(i, min(i + chunk, out_len)) for i in range(0, out_len, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(block, ranges))
-        return [v for part in parts for v in part]
-    return block(range(out_len))
+    out = []
+    for n in range(out_len):
+        lo = 0 if n < lb else n - lb + 1
+        hi = min(n, la - 1)
+        s = 0
+        for i in range(lo, hi + 1):
+            s += a[i] * b[n - i]
+        out.append(s % modulus if modulus else s)
+    return out
 
 
 class Series:
@@ -255,25 +226,25 @@ class Series:
             c = [x * factor for x in self.coeffs]
         return Series(self.ring, c, frac24=self.frac24)
 
-    def mul(self, other: "Series", threads: int = 1) -> "Series":
+    def mul(self, other: "Series") -> "Series":
         """Truncated Cauchy product; fractional offsets add with carry into
         an integer q-shift, so the result precision grows by the carry."""
         self._join(other)
         P = min(self.prec, other.prec)
         total = self.frac24 + other.frac24
         carry, frac = divmod(total, 24)
-        conv = _convolve(self.coeffs, other.coeffs, P, self.ring.modulus, threads)
+        conv = _convolve(self.coeffs, other.coeffs, P, self.ring.modulus)
         return Series(self.ring, [0] * carry + conv, frac24=frac)
 
-    def pow(self, n: int, threads: int = 1) -> "Series":
+    def pow(self, n: int) -> "Series":
         if n < 0:
             raise ValueError("negative powers go through invert()")
         result = Series.one(self.ring, self.prec)
         base = self
         while n:
             if n & 1:
-                result = result.mul(base, threads)
-            base = base.mul(base, threads) if n > 1 else base
+                result = result.mul(base)
+            base = base.mul(base) if n > 1 else base
             n >>= 1
         return result
 
@@ -298,11 +269,10 @@ class Series:
             b[n] = (-s * c0inv) % m if m else -s * c0inv
         return Series(self.ring, b)
 
-    def mul_binomial_inverse(self, step: int, sign: int, exponent: int,
-                             threads: int = 1) -> "Series":
+    def mul_binomial_inverse(self, step: int, sign: int, exponent: int) -> "Series":
         """self * (1 - sign*q^step)^(-exponent) via the O(P) recurrence."""
         c = list(self.coeffs)
-        binomial_inverse_inplace(c, step, sign, exponent, self.ring.modulus, threads)
+        binomial_inverse_inplace(c, step, sign, exponent, self.ring.modulus)
         return Series(self.ring, c, frac24=self.frac24)
 
     def q_derivative(self) -> "Series":

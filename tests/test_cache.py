@@ -29,6 +29,29 @@ def test_binary_round_trip(tmp_path):
     assert got == values and header["encoding"] == "binary"
 
 
+def test_failed_write_keeps_old_file(tmp_path, monkeypatch):
+    path = save_coeffs(tmp_path, "omega", [1, 2, 3], 23, prec=2)
+    before = path.read_bytes()
+
+    def interrupted(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("qcong.cache.os.replace", interrupted)
+    with pytest.raises(CacheError):
+        save_coeffs(tmp_path, "omega", [1, 2, 4], 23, prec=2)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_unwritable_directory_is_cache_error(tmp_path):
+    not_a_dir = tmp_path / "plain-file"
+    not_a_dir.write_text("")
+    with pytest.raises(CacheError):
+        save_coeffs(not_a_dir, "omega", [1, 2, 3], 23, prec=2)
+    with pytest.raises(CacheError):
+        save_coeffs(not_a_dir / "sub", "omega", [1, 2, 3], 23, prec=2)
+
+
 def test_binary_requires_modular(tmp_path):
     with pytest.raises(ValueError):
         save_coeffs(tmp_path, "omega", [1, 2], 0, prec=1, encoding="binary")

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qcong import cache
 from qcong.cli import main
 
@@ -66,6 +68,20 @@ def test_coeffs_cache_corruption_exit_3(capsys, tmp_path):
     path.write_bytes(head + b"\nnot a number\n")
     code, _, err = run(capsys, *args)
     assert code == 3 and "cache" in err
+
+
+@pytest.mark.parametrize("command", [
+    ("coeffs", "--function", "omega", "--upto", "20"),
+    ("phi", "--delta", "-8", "--r", "4", "--prec", "3"),
+    ("certify", "--delta", "-8", "--r", "4", "--p", "5", "--ell", "23",
+     "--R", "1", "--B", "2", "--prec", "5", "--M", "1"),
+])
+def test_cache_dir_is_a_file_exit_3(capsys, tmp_path, command):
+    not_a_dir = tmp_path / "plain-file"
+    not_a_dir.write_text("")
+    code, out, err = run(capsys, *command, "--cache-dir", str(not_a_dir))
+    assert code == 3 and out == ""
+    assert err.startswith("cache error:") and len(err.splitlines()) == 1
 
 
 def test_phi_values(capsys):
@@ -222,13 +238,6 @@ def test_phi_zero_normalizer_exit_4(capsys, monkeypatch):
     assert code == 4 and "normalizer" in err
 
 
-def test_threads_flag_identical_output(capsys):
-    base = ("coeffs", "--function", "omega", "--upto", "200", "--modulus", "23")
-    _, out1, _ = run(capsys, *base, "--threads", "1")
-    _, out4, _ = run(capsys, *base, "--threads", "4")
-    assert out1 == out4
-
-
 def test_env_cache_dir(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("QCONG_CACHE_DIR", str(tmp_path))
     code, _, _ = run(capsys, "coeffs", "--function", "f", "--upto", "10")
@@ -248,3 +257,26 @@ def test_binary_cache_round_trip(capsys, tmp_path):
     code, out2, _ = run(capsys, "coeffs", "--function", "omega", "--upto", "30",
                         "--modulus", "23", "--cache-dir", str(tmp_path))
     assert out2 == out1
+
+
+@pytest.mark.parametrize("command", [
+    ("heckecheck", "--delta", "-8", "--r", "4", "--p", "5", "--ell", "23",
+     "--R", "1", "--B", "2"),
+    ("certify", "--delta", "-8", "--r", "4", "--p", "5", "--ell", "23",
+     "--R", "1", "--B", "2", "--M", "1"),
+    ("scan", "--delta", "-8", "--r", "4", "--ell", "23", "--R", "1", "--B", "2",
+     "--bound", "30"),
+    ("phi", "--delta", "-8", "--r", "4"),
+])
+@pytest.mark.parametrize("prec", ["0", "-3"])
+def test_prec_below_one_exit_2(capsys, command, prec):
+    code, out, err = run(capsys, *command, "--prec", prec)
+    assert code == 2 and out == ""
+    assert "--prec" in err and len(err.splitlines()) == 1
+
+
+def test_threads_flag_is_unknown(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["coeffs", "--function", "omega", "--upto", "20", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err

@@ -134,6 +134,8 @@ def test_eigencheck_validation(tables_mod23):
         eigencheck(PARAMS_84, SETTING_23, 3, 0, 5, tables_mod23)
     with pytest.raises(ValueError):
         eigencheck(PARAMS_84, SETTING_23, 23, 0, 5, tables_mod23)
+    with pytest.raises(ValueError):     # a check through q^0 proves nothing
+        eigencheck(PARAMS_84, SETTING_23, 5, 0, 0, tables_mod23)
     with pytest.raises(ValueError):
         # 5 is inert for -8 but 2 splits for -23? use a split pair: (23, -15)?
         # kronecker(-23, 2) = 1, so ell = 2 would split, but ell >= 5 anyway;
@@ -200,8 +202,3 @@ def test_density_scan_mod5_eigenform(tables_mod5):
     for p, label, lam, fail in rows:
         assert label in ("0", "2", "b(p)"), (p, label, fail)
 
-
-def test_density_scan_thread_determinism(tables_mod23):
-    a = density_scan(PARAMS_84, SETTING_23, 20, 6, tables_mod23)
-    b = density_scan(PARAMS_84, SETTING_23, 20, 6, tables_mod23, threads=4)
-    assert a == b

@@ -12,7 +12,7 @@ from qcong.mocktheta import (
     omega_coeffs,
     required_depth,
 )
-from qcong.series import EXACT, Ring
+from qcong.series import EXACT, Ring, pentagonal_coefficients
 
 OMEGA_GOLDEN = [1, 2, 3, 4, 6, 8, 10, 14, 18, 22, 29, 36]
 F_GOLDEN = [1, 1, -1, 1, 0, 0, -1, 1, 0, 1, -2, 1, -1, 2, -2, 2, -1]
@@ -79,6 +79,28 @@ def naive_f(N):
     return total
 
 
+def watson_omega(N, m=0):
+    """Watson's Appell-Lerch form
+    omega(q) = (1/(q^2;q^2)_inf) sum_{n>=0} (-1)^n q^(3n(n+1)) (1+q^(2n+1))/(1-q^(2n+1)),
+    from the pentagonal expansion of (q^2;q^2)_inf and geometric series only."""
+    P = N + 1
+    s = [0] * P
+    n = 0
+    while 3 * n * (n + 1) <= N:
+        sign = -1 if n % 2 else 1
+        base, step = 3 * n * (n + 1), 2 * n + 1
+        s[base] += sign
+        for e in range(base + step, P, step):   # (1+x)/(1-x) = 1 + 2x + 2x^2 + ...
+            s[e] += 2 * sign
+        n += 1
+    euler = [(j, c) for j, c in enumerate(pentagonal_coefficients(2, P)) if c and j]
+    out = [0] * P
+    for k in range(P):   # out * (q^2;q^2)_inf = s
+        v = s[k] - sum(c * out[k - j] for j, c in euler if j <= k)
+        out[k] = v % m if m else v
+    return out
+
+
 def test_omega_golden():
     assert omega_coeffs(11).values == OMEGA_GOLDEN
 
@@ -100,6 +122,23 @@ def test_against_naive_oracle():
     assert f_coeffs(60).values == naive_f(60)
 
 
+@pytest.mark.parametrize("ring", [EXACT, Ring(23)], ids=["exact", "mod23"])
+def test_omega_against_watson_form(ring):
+    N = 2000
+    assert omega_coeffs(N, ring).values == watson_omega(N, ring.modulus)
+
+
+@pytest.mark.parametrize("ring", [EXACT, Ring(23)], ids=["exact", "mod23"])
+def test_builder_depth_boundaries(ring):
+    # Every depth up to 200 is a prefix of the depth-200 table; this covers the
+    # depths where the deepest summand changes: 2n(n+1) = 0, 4, 12, 24, ... for
+    # omega and n^2 = 0, 1, 4, 9, ... for f.
+    for builder in (omega_coeffs, f_coeffs):
+        full = builder(200, ring).values
+        for N in range(201):
+            assert builder(N, ring).values == full[: N + 1], (builder.__name__, N)
+
+
 @pytest.mark.parametrize("m", [5, 23])
 def test_modular_matches_exact(m):
     exact = omega_coeffs(2000).values
@@ -107,12 +146,6 @@ def test_modular_matches_exact(m):
     assert modular == [v % m for v in exact]
     exact_f = f_coeffs(500).values
     assert f_coeffs(500, Ring(m)).values == [v % m for v in exact_f]
-
-
-def test_thread_determinism():
-    assert omega_coeffs(800, Ring(23), threads=4).values == \
-        omega_coeffs(800, Ring(23)).values
-    assert f_coeffs(800, threads=4).values == f_coeffs(800).values
 
 
 def test_c_plus_examples(tables_exact):

@@ -239,18 +239,6 @@ def test_ring_axioms_random():
             assert a.add(b).coeffs == b.add(a).coeffs
 
 
-def test_thread_determinism():
-    rng = random.Random(53)
-    a = rand_series(rng, MOD23, 300)
-    b = rand_series(rng, MOD23, 300)
-    assert a.mul(b, threads=4).coeffs == a.mul(b).coeffs
-    assert a.mul_binomial_inverse(3, 1, 2, threads=4).coeffs == \
-        a.mul_binomial_inverse(3, 1, 2).coeffs
-    x = rand_series(rng, EXACT, 300)
-    assert x.mul_binomial_inverse(5, -1, 3, threads=3).coeffs == \
-        x.mul_binomial_inverse(5, -1, 3).coeffs
-
-
 def test_shifted():
     s = Series(EXACT, [1, 2, 3])
     up = s.shifted(2)
