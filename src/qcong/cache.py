@@ -155,7 +155,7 @@ def load_coeffs(path) -> tuple:
             f"{path}: payload length {len(values)} does not match header prec"
         )
     m = header["modulus"]
-    if m and any(v < 0 or v >= m for v in values):
+    if m and values and (min(values) < 0 or max(values) >= m):
         raise CacheError(f"{path}: values out of range for modulus {m}")
     return header, values
 

@@ -22,8 +22,8 @@ from .borcherds import (
     predict_coefficient,
 )
 from .hecke import CongruenceSetting, eigencheck, density_scan, sturm_bound
-from .mocktheta import MockTables, f_coeffs, omega_coeffs, required_depth
-from .ntheory import NotInvertible, primes_up_to
+from .mocktheta import MockTables
+from .ntheory import NotInvertible
 from .qexpr import (
     ExprSyntaxError,
     NonIntegralExponent,
@@ -56,32 +56,15 @@ def _emit_json(obj):
     print(json.dumps(obj, sort_keys=True))
 
 
-def _load_table(directory, function, modulus, upto, delta=None, r=None):
-    hit = cache.find_coeffs(directory, function, modulus, upto, delta, r)
-    return hit[1] if hit else None
-
-
-def _coeff_table(function, upto, modulus, directory, encoding="text"):
-    """Fetch or compute a(0..upto) for f/omega, persisting through the cache."""
-    if directory:
-        values = _load_table(directory, function, modulus, upto)
-        if values is not None:
-            return values[: upto + 1]
-    builder = omega_coeffs if function == "omega" else f_coeffs
-    values = builder(upto, _ring(modulus)).values
-    if directory:
-        cache.save_coeffs(directory, function, values, modulus, upto,
-                          encoding=encoding)
-    return values
-
-
 def cmd_coeffs(args) -> int:
     modulus = args.modulus or 0
     if args.exact and modulus:
         print("--exact and --modulus are mutually exclusive", file=sys.stderr)
         return EXIT_USAGE
-    values = _coeff_table(args.function, args.upto, modulus, _cache_dir(args),
-                          "binary" if args.binary_cache and modulus else "text")
+    encoding = "binary" if args.binary_cache and modulus else "text"
+    tables = MockTables(_ring(modulus), _cache_dir(args), encoding)
+    tables.ensure(args.function, args.upto)
+    values = tables.values(args.function)[: args.upto + 1]
     if args.json:
         _emit_json({
             "command": "coeffs", "function": args.function,
@@ -106,10 +89,10 @@ def cmd_phi(args) -> int:
     c1 = exact_c1(params)
     try:
         if directory:
-            cached = _load_table(directory, "phi_star", modulus, args.prec,
-                                 args.delta, args.r)
-            if cached is not None:
-                values = cached[: args.prec]
+            hit = cache.find_coeffs(directory, "phi_star", modulus, args.prec,
+                                    args.delta, args.r)
+            if hit is not None:
+                values = hit[1][: args.prec]
         if values is None:
             if c1 == 0:
                 raise ZeroNormalizer(f"c(1) = 0 for ({args.delta}, {args.r})")
@@ -133,39 +116,11 @@ def cmd_phi(args) -> int:
     return EXIT_OK
 
 
-def _warm_tables(directory, ring, depths):
-    tables = MockTables(ring)
-    if directory:
-        for kind, depth in depths.items():
-            if depth:
-                values = _load_table(directory, kind, ring.modulus, depth)
-                if values is not None:
-                    tables.preload(kind, values)
-    return tables
-
-
-def _save_tables(directory, tables):
-    if not directory:
-        return
-    for kind in ("f", "omega"):
-        values = tables.values(kind)
-        if values:
-            existing = cache.find_coeffs(directory, kind, tables.ring.modulus,
-                                         len(values) - 1)
-            if existing is None:
-                cache.save_coeffs(directory, kind, values, tables.ring.modulus,
-                                  len(values) - 1)
-
-
 def _run_eigencheck(args, prec):
     params = TwistParams(args.delta, args.r)
     setting = CongruenceSetting(args.ell, args.R, args.B)
-    ring = Ring(setting.modulus)
-    depth = args.p * (prec + 1) - 1
-    tables = _warm_tables(_cache_dir(args), ring,
-                          required_depth(args.delta, args.r, depth))
+    tables = MockTables(Ring(setting.modulus), _cache_dir(args))
     report = eigencheck(params, setting, args.p, args.lam, prec, tables)
-    _save_tables(_cache_dir(args), tables)
     return params, setting, tables, report
 
 
@@ -177,12 +132,13 @@ def cmd_heckecheck(args) -> int:
         return EXIT_USAGE
     out = {"command": "heckecheck"}
     out.update(report.to_dict())
+    out["table_source"] = tables.source
     _emit_json(out)
     return EXIT_OK if report.certified else EXIT_EIGENFAIL
 
 
 def cmd_certify(args) -> int:
-    prec = args.prec if args.prec is not None else None
+    prec = args.prec
     try:
         setting = CongruenceSetting(args.ell, args.R, args.B)
         if prec is None:
@@ -199,16 +155,13 @@ def cmd_certify(args) -> int:
     predictions = [
         (M,) + predict_coefficient(params, args.p, M, eigen) for M in args.M
     ]
-    # one table per function kind, computed to the deepest index needed
-    tables_by_kind = {}
+    # each table once, to the deepest index needed, from the eigencheck's store
     for kind in {k for _, k, _, _ in predictions}:
-        deepest = max(i for _, k, i, _ in predictions if k == kind)
-        tables_by_kind[kind] = _coeff_table(kind, deepest, setting.modulus,
-                                            _cache_dir(args))
+        tables.ensure(kind, max(i for _, k, i, _ in predictions if k == kind))
     rows = []
     all_match = True
     for M, kind, index, predicted in predictions:
-        actual = tables_by_kind[kind][index]
+        actual = tables.values(kind)[index]
         match = actual == predicted
         all_match = all_match and match
         rows.append({"M": M, "function": kind, "index": index,
@@ -255,20 +208,12 @@ def cmd_scan(args) -> int:
     except ValueError as exc:
         print(f"invalid scan request: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    ring = Ring(setting.modulus)
-    max_depth = max(
-        (p * (args.prec + 1) - 1
-         for p in primes_up_to(args.bound) if p not in (2, 3, args.ell)),
-        default=0,
-    )
-    tables = _warm_tables(_cache_dir(args), ring,
-                          required_depth(args.delta, args.r, max(max_depth, 1)))
+    tables = MockTables(Ring(setting.modulus), _cache_dir(args))
     try:
         rows = density_scan(params, setting, args.bound, args.prec, tables)
     except (ValueError, NotInvertible) as exc:
         print(f"scan failed: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _save_tables(_cache_dir(args), tables)
     if args.json:
         _emit_json({
             "command": "scan", "delta": args.delta, "r": args.r,

@@ -3,6 +3,7 @@ dictionary mapping twisted index pairs to signed f/omega coefficients."""
 
 from dataclasses import dataclass
 
+from . import cache
 from .series import EXACT, Ring, binomial_inverse_inplace
 
 
@@ -73,20 +74,37 @@ _BUILDERS = {"f": f_coeffs, "omega": omega_coeffs}
 
 
 class MockTables:
-    """Lazily grown f/omega coefficient tables over a fixed ring.
+    """The f/omega coefficient store over a fixed ring.
 
-    Tables are immutable once built to a given depth; growing recomputes
-    from scratch (callers should ensure the maximum depth up front).
+    `ensure(which, upto)` keeps a held table that already covers `upto`.
+    Otherwise, with a cache directory, it loads the deepest cached file
+    covering `upto`; failing that it builds the table and saves it there
+    in `encoding` ("text" or "binary").  Growing rebuilds from scratch, so
+    callers should ensure the maximum depth up front.  `source[which]` is
+    "loaded", "built" or None (not yet needed).
     """
 
-    def __init__(self, ring: Ring = EXACT):
+    def __init__(self, ring: Ring = EXACT, cache_dir=None,
+                 encoding: str = "text"):
         self.ring = ring
+        self.cache_dir = cache_dir
+        self.encoding = encoding
         self._tables = {"f": [], "omega": []}
+        self.source = {"f": None, "omega": None}
 
     def ensure(self, which: str, upto: int):
-        t = self._tables[which]
-        if len(t) <= upto:
-            self._tables[which] = _BUILDERS[which](upto, self.ring).values
+        if len(self._tables[which]) > upto:
+            return self
+        m = self.ring.modulus
+        hit = self.cache_dir and cache.find_coeffs(self.cache_dir, which, m, upto)
+        if hit:
+            self._tables[which], self.source[which] = hit[1], "loaded"
+            return self
+        values = _BUILDERS[which](upto, self.ring).values
+        self._tables[which], self.source[which] = values, "built"
+        if self.cache_dir:
+            cache.save_coeffs(self.cache_dir, which, values, m, upto,
+                              encoding=self.encoding)
         return self
 
     def preload(self, which: str, values: list):
@@ -95,6 +113,7 @@ class MockTables:
             raise ValueError(f"unknown function {which!r}")
         if len(values) > len(self._tables[which]):
             self._tables[which] = list(values)
+            self.source[which] = "loaded"
         return self
 
     def values(self, which: str) -> list:

@@ -1,3 +1,5 @@
+import struct
+
 import pytest
 
 from qcong.cache import MAGIC, CacheError, find_coeffs, load_coeffs, save_coeffs
@@ -79,9 +81,22 @@ def test_corruption_detection(tmp_path):
     with pytest.raises(CacheError):
         load_coeffs(path)
 
+    for payload in (b"[1,-2,3]", b"[1,2,23]", b"[-1,0,22]"):  # each out of range
+        path.write_bytes(head + b"\n" + payload + b"\n")
+        with pytest.raises(CacheError):
+            load_coeffs(path)
+    path.write_bytes(head + b"\n[0,1,22]\n")  # the range edges are accepted
+    assert load_coeffs(path)[1] == [0, 1, 22]
+    empty = save_coeffs(tmp_path, "phi_star", [], 23, prec=0)  # no values to range-check
+    assert load_coeffs(empty)[1] == []
+
     binary = save_coeffs(tmp_path, "f", [1, 2, 3], 23, prec=2,
                          encoding="binary")
     head2, _ = binary.read_bytes().split(b"\n", 1)
+    words = MAGIC + struct.pack("<QQQQ", 3, 1, 23, 3)  # a word equal to m
+    binary.write_bytes(head2 + b"\n" + words)
+    with pytest.raises(CacheError):
+        load_coeffs(binary)
     binary.write_bytes(head2 + b"\nWRONG" + b"\x00" * 20)
     with pytest.raises(CacheError):
         load_coeffs(binary)

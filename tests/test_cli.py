@@ -84,6 +84,72 @@ def test_cache_dir_is_a_file_exit_3(capsys, tmp_path, command):
     assert err.startswith("cache error:") and len(err.splitlines()) == 1
 
 
+TWIST = ("--delta", "-8", "--r", "4", "--ell", "23", "--R", "1", "--B", "2")
+WARM_COMMANDS = {
+    "heckecheck": ("heckecheck", *TWIST, "--p", "5", "--prec", "5"),
+    "scan": ("scan", *TWIST, "--bound", "7", "--prec", "3"),
+    "certify": ("certify", *TWIST, "--p", "5", "--prec", "5", "--M", "1", "2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WARM_COMMANDS))
+def test_warm_command_decodes_omega_once(capsys, tmp_path, monkeypatch, name):
+    cold_code, cold_out, _ = run(capsys, *WARM_COMMANDS[name],
+                                 "--cache-dir", str(tmp_path / "own"))
+    assert run(capsys, *WARM_COMMANDS["certify"],
+               "--cache-dir", str(tmp_path))[0] == 0
+    assert [p.name for p in tmp_path.glob("*.qser")] == ["omega_mod23_p560.qser"]
+    decoded = []  # lengths of the omega tables the cache decodes
+    load = cache.load_coeffs
+
+    def counting_load(path):
+        header, values = load(path)
+        if header["function"] == "omega":
+            decoded.append(len(values))
+        return header, values
+
+    monkeypatch.setattr(cache, "load_coeffs", counting_load)
+    code, out, _ = run(capsys, *WARM_COMMANDS[name], "--cache-dir", str(tmp_path))
+    assert decoded == [561]
+    assert [p.name for p in tmp_path.glob("*.qser")] == ["omega_mod23_p560.qser"]
+    assert code == cold_code == 0
+    if name == "heckecheck":  # the one field that says where the table came from
+        cold_doc, doc = json.loads(cold_out), json.loads(out)
+        assert cold_doc.pop("table_source") == {"f": None, "omega": "built"}
+        assert doc.pop("table_source") == {"f": None, "omega": "loaded"}
+        assert doc == cold_doc
+    else:
+        assert out == cold_out
+
+
+def test_cold_certify_cache_files(capsys, tmp_path):
+    # one table at the eigencheck depth, one at the deepest row index
+    code, out, _ = run(capsys, "certify", *TWIST, "--p", "5", "--M", "1", "2", "3",
+                       "--cache-dir", str(tmp_path))
+    assert code == 0 and out.strip().splitlines()[-1] == "3,10416,12,12,true"
+    assert sorted(p.name for p in tmp_path.glob("*.qser")) == [
+        "omega_mod23_p10416.qser", "omega_mod23_p9440.qser"]
+
+
+def test_heckecheck_table_source_without_cache(capsys):
+    code, out, _ = run(capsys, *WARM_COMMANDS["heckecheck"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["table_source"] == {"f": None, "omega": "built"}
+    assert doc["table_depth"] == {"f": 0, "omega": 560}
+
+
+@pytest.mark.parametrize("name", ["heckecheck", "certify"])
+def test_corrupt_omega_file_exit_3(capsys, tmp_path, name):
+    assert run(capsys, *WARM_COMMANDS["certify"], "--cache-dir", str(tmp_path))[0] == 0
+    path = next(tmp_path.glob("omega_*.qser"))
+    head = path.read_bytes().split(b"\n", 1)[0]
+    path.write_bytes(head + b"\n[1,2,3]\n")
+    code, out, err = run(capsys, *WARM_COMMANDS[name], "--cache-dir", str(tmp_path))
+    assert code == 3 and out == ""
+    assert err.startswith("cache error:") and len(err.splitlines()) == 1
+
+
 def test_phi_values(capsys):
     code, out, _ = run(capsys, "phi", "--delta", "-8", "--r", "4", "--prec", "3")
     assert code == 0

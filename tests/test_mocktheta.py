@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from qcong import cache
 from qcong.mocktheta import (
     CPLUS_DISPATCH,
     CPlusQuery,
@@ -223,5 +224,41 @@ def test_tables_growth_and_preload():
     t2 = MockTables(Ring(23))
     t2.preload("omega", omega_coeffs(30, Ring(23)).values)
     assert t2.depth("omega") == 30
+    assert t2.source == {"f": None, "omega": "loaded"}
     with pytest.raises(ValueError):
         t2.preload("nope", [1])
+
+
+def test_store_loads_or_builds_once(tmp_path, monkeypatch):
+    calls = []
+    for name in ("find_coeffs", "load_coeffs", "save_coeffs"):
+        original = getattr(cache, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cache, name, counted)
+    ring = Ring(23)
+    cold = MockTables(ring, tmp_path)
+    assert cold.source == {"f": None, "omega": None}
+    assert cold.a_omega(40) == omega_coeffs(40, ring).values[40]
+    cold.ensure("omega", 30)
+    assert calls == ["find_coeffs", "save_coeffs"]
+    assert cold.source["omega"] == "built"
+    assert [p.name for p in tmp_path.iterdir()] == ["omega_mod23_p40.qser"]
+
+    calls.clear()
+    warm = MockTables(ring, tmp_path)
+    for upto in (10, 40, 25):
+        warm.ensure("omega", upto)
+    assert calls == ["find_coeffs", "load_coeffs"]
+    assert warm.source == {"f": None, "omega": "loaded"}
+    assert warm.values("omega") == cold.values("omega")
+
+    calls.clear()
+    warm.ensure("omega", 41)  # deeper than any file: build and save again
+    assert calls == ["find_coeffs", "save_coeffs"]
+    assert warm.source["omega"] == "built"
+    assert len(list(tmp_path.glob("omega_*.qser"))) == 2
+
