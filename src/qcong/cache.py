@@ -4,9 +4,11 @@ A cache file is a JSON header line followed by the payload:
 
   - text encoding, exact ring: one decimal integer per line (values can run
     to hundreds of digits, so decimal strings are mandatory);
-  - text encoding, modular ring: a single line holding a JSON array;
-  - binary encoding (modular rings only): magic bytes ``QSER1``, a
-    little-endian u64 word count, then fixed-width little-endian u64 words.
+  - text encoding, modular ring (written by earlier versions, still read):
+    a single line holding a JSON array;
+  - binary encoding (modular rings only, and their default): magic bytes
+    ``QSER1``, a little-endian u64 word count, then fixed-width
+    little-endian u64 words.  A reader can decode any prefix of it.
 
 Header fields: format, encoding, function (f | omega | phi_star), delta, r,
 modulus, prec, created.  For the index-0 functions f and omega the payload
@@ -20,6 +22,8 @@ renamed into place, so a reader never sees a partly written file.
 import json
 import os
 import struct
+import sys
+from array import array
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -47,8 +51,13 @@ def _file_name(function: str, modulus: int, prec: int, delta, r) -> str:
 
 def save_coeffs(directory, function: str, values: list, modulus: int,
                 prec: int, delta: int = None, r: int = None,
-                encoding: str = "text") -> Path:
-    """Write a coefficient array to the cache directory; returns the path."""
+                encoding: str = None) -> Path:
+    """Write a coefficient array to the cache directory; returns the path.
+
+    `encoding` defaults to "binary" for a modular ring and "text" for the
+    exact ring."""
+    if encoding is None:
+        encoding = "binary" if modulus else "text"
     if encoding not in ("text", "binary"):
         raise ValueError("encoding must be 'text' or 'binary'")
     if encoding == "binary" and modulus == 0:
@@ -72,29 +81,34 @@ def save_coeffs(directory, function: str, values: list, modulus: int,
     head = json.dumps(header, sort_keys=True).encode() + b"\n"
     if encoding == "text":
         if modulus == 0:
-            body = "\n".join(str(v) for v in values).encode() + b"\n"
+            parts = ["\n".join(str(v) for v in values).encode() + b"\n"]
         else:
-            body = json.dumps(values).encode() + b"\n"
+            parts = [json.dumps(values).encode() + b"\n"]
     else:
-        if any(v < 0 or v >= 1 << 64 for v in values):
-            raise ValueError("binary words must fit an unsigned 64-bit integer")
-        body = MAGIC + struct.pack("<Q", len(values))
-        body += b"".join(struct.pack("<Q", v) for v in values)
+        try:
+            words = array("Q", values)
+        except (OverflowError, TypeError) as exc:
+            raise ValueError("binary words must fit an unsigned 64-bit integer") from exc
+        if sys.byteorder == "big":
+            words.byteswap()
+        parts = [MAGIC + struct.pack("<Q", len(words)), words]
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        _write_atomic(path, head + body)
+        _write_atomic(path, [head] + parts)
     except OSError as exc:
         raise CacheError(f"cannot write {path}: {exc}") from exc
     return path
 
 
-def _write_atomic(path: Path, data: bytes):
-    """Write a new file next to `path` and rename it into place, so that a
-    concurrent reader sees either the old file or the whole new one."""
+def _write_atomic(path: Path, parts: list):
+    """Write `parts` (bytes-like) to a new file next to `path` and rename it
+    into place, so that a concurrent reader sees either the old file or the
+    whole new one."""
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         with open(tmp, "xb") as fh:
-            fh.write(data)
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -104,60 +118,93 @@ def _write_atomic(path: Path, data: bytes):
         raise
 
 
-def load_coeffs(path) -> tuple:
+def load_coeffs(path, count: int = None) -> tuple:
     """Read a cache file; returns (header dict, values list).
 
-    Raises CacheError on any structural problem.
+    A binary file decodes only its first `count` entries (all of them when
+    `count` is None), but its magic bytes, its word count against the file
+    size and its header prec are always checked; a text file always decodes
+    whole.  Every returned value is range-checked.  Raises CacheError on any
+    structural problem.
     """
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        with path.open("rb") as fh:
+            line = fh.readline()
+            if not line.endswith(b"\n"):
+                raise CacheError(f"{path}: missing header line")
+            try:
+                header = json.loads(line)
+            except ValueError as exc:
+                raise CacheError(f"{path}: bad header JSON: {exc}") from exc
+            if not isinstance(header, dict) or header.get("format") != FORMAT_TAG:
+                raise CacheError(f"{path}: unrecognized format tag")
+            expected = _payload_len(header.get("function", ""), header.get("prec", -1))
+            encoding = header.get("encoding")
+            if encoding == "text":
+                values = _decode_text(path, fh.read(), header["modulus"], expected)
+            elif encoding == "binary":
+                values = _decode_words(path, fh, expected, count)
+            else:
+                raise CacheError(f"{path}: unknown encoding {encoding!r}")
     except OSError as exc:
         raise CacheError(f"cannot read {path}: {exc}") from exc
-    nl = raw.find(b"\n")
-    if nl < 0:
-        raise CacheError(f"{path}: missing header line")
+    m = header["modulus"]
     try:
-        header = json.loads(raw[:nl])
-    except json.JSONDecodeError as exc:
-        raise CacheError(f"{path}: bad header JSON: {exc}") from exc
-    if not isinstance(header, dict) or header.get("format") != FORMAT_TAG:
-        raise CacheError(f"{path}: unrecognized format tag")
-    body = raw[nl + 1 :]
-    expected = _payload_len(header.get("function", ""), header.get("prec", -1))
-    encoding = header.get("encoding")
-    if encoding == "text":
-        try:
-            if header["modulus"] == 0:
-                values = [int(line) for line in body.split() if line]
-            else:
-                values = json.loads(body)
-                if not isinstance(values, list) or not all(
-                    isinstance(v, int) for v in values
-                ):
-                    raise ValueError("payload is not an integer array")
-        except ValueError as exc:
-            raise CacheError(f"{path}: bad payload: {exc}") from exc
-    elif encoding == "binary":
-        if body[: len(MAGIC)] != MAGIC:
-            raise CacheError(f"{path}: bad magic bytes")
-        if len(body) < len(MAGIC) + 8:
-            raise CacheError(f"{path}: truncated length field")
-        (count,) = struct.unpack_from("<Q", body, len(MAGIC))
-        words = body[len(MAGIC) + 8 :]
-        if len(words) != 8 * count:
-            raise CacheError(f"{path}: expected {count} words, found {len(words) // 8}")
-        values = list(struct.unpack(f"<{count}Q", words))
-    else:
-        raise CacheError(f"{path}: unknown encoding {encoding!r}")
+        out_of_range = m and values and (min(values) < 0 or max(values) >= m)
+    except TypeError:  # a non-numeric entry in a JSON array
+        raise CacheError(f"{path}: bad payload: not an integer array") from None
+    if out_of_range:
+        raise CacheError(f"{path}: values out of range for modulus {m}")
+    return header, values
+
+
+def _reject_number(token):
+    raise ValueError(f"non-integer number {token}")
+
+
+def _decode_text(path, body: bytes, modulus, expected: int) -> list:
+    try:
+        if modulus == 0:
+            values = [int(line) for line in body.split() if line]
+        else:
+            values = json.loads(body, parse_float=_reject_number,
+                                parse_constant=_reject_number)
+    except ValueError as exc:
+        raise CacheError(f"{path}: bad payload: {exc}") from exc
+    if not isinstance(values, list):
+        raise CacheError(f"{path}: bad payload: not an integer array")
     if len(values) != expected:
         raise CacheError(
             f"{path}: payload length {len(values)} does not match header prec"
         )
-    m = header["modulus"]
-    if m and values and (min(values) < 0 or max(values) >= m):
-        raise CacheError(f"{path}: values out of range for modulus {m}")
-    return header, values
+    return values
+
+
+def _decode_words(path, fh, expected: int, count) -> list:
+    """The first `count` words of a binary payload, `fh` positioned at it."""
+    lead = fh.read(len(MAGIC) + 8)
+    if lead[: len(MAGIC)] != MAGIC:
+        raise CacheError(f"{path}: bad magic bytes")
+    if len(lead) < len(MAGIC) + 8:
+        raise CacheError(f"{path}: truncated length field")
+    (total,) = struct.unpack_from("<Q", lead, len(MAGIC))
+    size = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size != 8 * total:
+        raise CacheError(f"{path}: expected {total} words, found {size // 8}")
+    if total != expected:
+        raise CacheError(
+            f"{path}: payload length {total} does not match header prec"
+        )
+    n = total if count is None else min(count, total)
+    words = array("Q")
+    try:
+        words.fromfile(fh, n)
+    except EOFError as exc:
+        raise CacheError(f"{path}: {exc}") from exc
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words.tolist()
 
 
 def find_coeffs(directory, function: str, modulus: int, min_prec: int,
@@ -165,7 +212,8 @@ def find_coeffs(directory, function: str, modulus: int, min_prec: int,
     """Best cached array covering min_prec, or None.
 
     Scans the directory for matching function/modulus/twist headers and
-    returns the deepest match as (header, values).
+    returns the deepest match as (header, values).  A binary file decodes
+    only the entries through index min_prec; a text file decodes whole.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -191,8 +239,7 @@ def find_coeffs(directory, function: str, modulus: int, min_prec: int,
             best = (path, header)
     if best is None:
         return None
-    header, values = load_coeffs(best[0])
-    return header, values
+    return load_coeffs(best[0], _payload_len(function, min_prec))
 
 
 __all__ = ["CacheError", "FORMAT_TAG", "MAGIC", "find_coeffs", "load_coeffs", "save_coeffs"]

@@ -21,8 +21,14 @@ from .borcherds import (
     phi_star,
     predict_coefficient,
 )
-from .hecke import CongruenceSetting, eigencheck, density_scan, sturm_bound
-from .mocktheta import MockTables
+from .hecke import (
+    CongruenceSetting,
+    density_scan,
+    eigencheck,
+    eigencheck_depth,
+    sturm_bound,
+)
+from .mocktheta import MockTables, required_depth
 from .ntheory import NotInvertible
 from .qexpr import (
     ExprSyntaxError,
@@ -61,8 +67,7 @@ def cmd_coeffs(args) -> int:
     if args.exact and modulus:
         print("--exact and --modulus are mutually exclusive", file=sys.stderr)
         return EXIT_USAGE
-    encoding = "binary" if args.binary_cache and modulus else "text"
-    tables = MockTables(_ring(modulus), _cache_dir(args), encoding)
+    tables = MockTables(_ring(modulus), _cache_dir(args))
     tables.ensure(args.function, args.upto)
     values = tables.values(args.function)[: args.upto + 1]
     if args.json:
@@ -116,17 +121,12 @@ def cmd_phi(args) -> int:
     return EXIT_OK
 
 
-def _run_eigencheck(args, prec):
-    params = TwistParams(args.delta, args.r)
-    setting = CongruenceSetting(args.ell, args.R, args.B)
-    tables = MockTables(Ring(setting.modulus), _cache_dir(args))
-    report = eigencheck(params, setting, args.p, args.lam, prec, tables)
-    return params, setting, tables, report
-
-
 def cmd_heckecheck(args) -> int:
     try:
-        params, setting, tables, report = _run_eigencheck(args, args.prec)
+        params = TwistParams(args.delta, args.r)
+        setting = CongruenceSetting(args.ell, args.R, args.B)
+        tables = MockTables(Ring(setting.modulus), _cache_dir(args))
+        report = eigencheck(params, setting, args.p, args.lam, args.prec, tables)
     except (ValueError, NotInvertible) as exc:
         print(f"invalid eigencheck request: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -140,10 +140,22 @@ def cmd_heckecheck(args) -> int:
 def cmd_certify(args) -> int:
     prec = args.prec
     try:
+        params = TwistParams(args.delta, args.r)
         setting = CongruenceSetting(args.ell, args.R, args.B)
         if prec is None:
             prec = sturm_bound(setting.k, 6)
-        params, setting, tables, report = _run_eigencheck(args, prec)
+        depth = eigencheck_depth(params, setting, args.p, prec)
+        eigen = EigenData(setting, args.p, args.lam)
+        predictions = [
+            (M,) + predict_coefficient(params, args.p, M, eigen) for M in args.M
+        ]
+        # each table once, to the deepest index the eigencheck or a row reads
+        tables = MockTables(Ring(setting.modulus), _cache_dir(args))
+        for kind, need in required_depth(params.delta, params.r, depth).items():
+            need = max([need] + [i for _, k, i, _ in predictions if k == kind])
+            if need:
+                tables.ensure(kind, need)
+        report = eigencheck(params, setting, args.p, args.lam, prec, tables)
     except (ValueError, NotInvertible) as exc:
         print(f"invalid certification request: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -151,13 +163,6 @@ def cmd_certify(args) -> int:
         print(f"eigencheck failed at q^{report.first_failure}; "
               "certification prerequisites not met", file=sys.stderr)
         return EXIT_EIGENFAIL
-    eigen = EigenData(setting, args.p, args.lam)
-    predictions = [
-        (M,) + predict_coefficient(params, args.p, M, eigen) for M in args.M
-    ]
-    # each table once, to the deepest index needed, from the eigencheck's store
-    for kind in {k for _, k, _, _ in predictions}:
-        tables.ensure(kind, max(i for _, k, i, _ in predictions if k == kind))
     rows = []
     all_match = True
     for M, kind, index, predicted in predictions:
@@ -252,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--exact", action="store_true",
                    help="exact integer arithmetic (the default)")
     c.add_argument("--binary-cache", action="store_true",
-                   help="write the cache file in the binary encoding")
+                   help="no effect: modular caches are always written binary")
     _add_common(c)
     c.set_defaults(func=cmd_coeffs)
 

@@ -124,24 +124,31 @@ class HeckeCheckReport:
         }
 
 
-def eigencheck(params: TwistParams, setting: CongruenceSetting, p: int,
-               lam: int, prec: int, tables: MockTables = None,
-               _phi: PhiStar = None) -> HeckeCheckReport:
-    """Verify Phi* | T_{p,k} = lam * Phi* (mod ell^R) coefficientwise
-    through q^prec.
-
-    Builds the expansion mod ell^R to index p*(prec+1)-1 so the transform is
-    known through q^prec, applies the Hecke operator at the pole-clearing
-    weight, and reports the first failing index if any.
-    """
+def eigencheck_depth(params: TwistParams, setting: CongruenceSetting, p: int,
+                     prec: int) -> int:
+    """Validate an eigencheck request; returns the expansion depth
+    p*(prec+1)-1 it needs so that the transform is known through q^prec."""
     if prec < 1:
         raise ValueError(f"prec = {prec} must be at least 1")
     if not is_prime(p) or p in (2, 3, setting.ell):
         raise ValueError(f"p = {p} must be a prime outside {{2, 3, ell}}")
     if splitting_type(setting.ell, params.delta) == "split":
         raise ValueError(f"ell = {setting.ell} splits for delta = {params.delta}")
+    return p * (prec + 1) - 1
+
+
+def eigencheck(params: TwistParams, setting: CongruenceSetting, p: int,
+               lam: int, prec: int, tables: MockTables = None,
+               _phi: PhiStar = None) -> HeckeCheckReport:
+    """Verify Phi* | T_{p,k} = lam * Phi* (mod ell^R) coefficientwise
+    through q^prec.
+
+    Builds the expansion mod ell^R to eigencheck_depth(...), applies the
+    Hecke operator at the pole-clearing weight, and reports the first
+    failing index if any.
+    """
+    depth = eigencheck_depth(params, setting, p, prec)
     ring = Ring(setting.modulus)
-    depth = p * (prec + 1) - 1
     phi = _phi
     if phi is None or phi.series.prec <= depth:
         phi = phi_star(params, depth, ring, tables)
@@ -252,6 +259,7 @@ __all__ = [
     "SmallPrime",
     "density_scan",
     "eigencheck",
+    "eigencheck_depth",
     "hasse_weight",
     "hecke_operator",
     "index_gamma0",

@@ -77,18 +77,17 @@ class MockTables:
     """The f/omega coefficient store over a fixed ring.
 
     `ensure(which, upto)` keeps a held table that already covers `upto`.
-    Otherwise, with a cache directory, it loads the deepest cached file
-    covering `upto`; failing that it builds the table and saves it there
-    in `encoding` ("text" or "binary").  Growing rebuilds from scratch, so
-    callers should ensure the maximum depth up front.  `source[which]` is
-    "loaded", "built" or None (not yet needed).
+    Otherwise, with a cache directory, it reads the deepest cached file
+    covering `upto` (a binary file only through index `upto`); failing that
+    it builds the table and saves it there, binary for a modular ring and
+    text for the exact one.  Growing reads or rebuilds again, so callers
+    should ensure the maximum depth up front.  `source[which]` is "loaded",
+    "built" or None (not yet needed).
     """
 
-    def __init__(self, ring: Ring = EXACT, cache_dir=None,
-                 encoding: str = "text"):
+    def __init__(self, ring: Ring = EXACT, cache_dir=None):
         self.ring = ring
         self.cache_dir = cache_dir
-        self.encoding = encoding
         self._tables = {"f": [], "omega": []}
         self.source = {"f": None, "omega": None}
 
@@ -103,8 +102,7 @@ class MockTables:
         values = _BUILDERS[which](upto, self.ring).values
         self._tables[which], self.source[which] = values, "built"
         if self.cache_dir:
-            cache.save_coeffs(self.cache_dir, which, values, m, upto,
-                              encoding=self.encoding)
+            cache.save_coeffs(self.cache_dir, which, values, m, upto)
         return self
 
     def preload(self, which: str, values: list):

@@ -3,6 +3,7 @@ import struct
 import pytest
 
 from qcong.cache import MAGIC, CacheError, find_coeffs, load_coeffs, save_coeffs
+from qcong.cli import main
 
 
 def test_text_exact_round_trip(tmp_path):
@@ -16,9 +17,10 @@ def test_text_exact_round_trip(tmp_path):
 def test_text_modular_round_trip(tmp_path):
     values = [1, 17, 1]
     path = save_coeffs(tmp_path, "phi_star", values, 23, prec=3,
-                       delta=-8, r=4)
+                       delta=-8, r=4, encoding="text")
     header, got = load_coeffs(path)
     assert got == values and header["delta"] == -8 and header["r"] == 4
+    assert header["encoding"] == "text"
 
 
 def test_binary_round_trip(tmp_path):
@@ -29,6 +31,79 @@ def test_binary_round_trip(tmp_path):
     assert MAGIC in raw
     header, got = load_coeffs(path)
     assert got == values and header["encoding"] == "binary"
+
+
+def test_default_encoding_follows_ring(tmp_path):
+    assert load_coeffs(save_coeffs(tmp_path, "f", [1, 2], 23, prec=1))[0][
+        "encoding"] == "binary"
+    assert load_coeffs(save_coeffs(tmp_path, "f", [1, -2], 0, prec=1))[0][
+        "encoding"] == "text"
+
+
+def test_binary_golden_bytes(tmp_path):
+    # the little-endian layout: MAGIC, <Q count>, then one <Q word> per value
+    values = [0, 1, 22, 255, 256, 2 ** 32, 2 ** 64 - 1]
+    path = save_coeffs(tmp_path, "phi_star", values, 2 ** 64, prec=7,
+                       delta=-8, r=4)
+    body = path.read_bytes().split(b"\n", 1)[1]
+    assert body == MAGIC + struct.pack("<Q", 7) + b"".join(
+        struct.pack("<Q", v) for v in values)
+    assert load_coeffs(path)[1] == values
+
+
+@pytest.mark.parametrize("word", [-1, 2 ** 64, 2 ** 70])
+def test_binary_word_out_of_range(tmp_path, word):
+    with pytest.raises(ValueError):
+        save_coeffs(tmp_path, "f", [1, word], 23, prec=1, encoding="binary")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("change", ["truncate", "extend"])
+def test_binary_size_mismatch(capsys, tmp_path, change):
+    args = ("coeffs", "--function", "omega", "--upto", "30",
+            "--modulus", "23", "--cache-dir", str(tmp_path))
+    assert main(list(args)) == 0
+    capsys.readouterr()
+    path = next(tmp_path.glob("omega_*.qser"))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-8] if change == "truncate" else raw + bytes(8))
+    for count in (None, 1):
+        with pytest.raises(CacheError):
+            load_coeffs(path, count)
+    assert main(list(args[:4]) + ["5"] + list(args[5:])) == 3
+    assert capsys.readouterr().err.startswith("cache error:")
+
+
+def test_binary_prefix_read(tmp_path):
+    values = [n % 23 for n in range(40)]
+    path = save_coeffs(tmp_path, "omega", values, 23, prec=39)
+    assert load_coeffs(path, 0)[1] == []
+    assert load_coeffs(path, 10)[1] == values[:10]
+    assert load_coeffs(path, 99)[1] == values
+    head, body = path.read_bytes().split(b"\n", 1)
+    k = 17  # a word equal to the modulus at index k
+    bad = bytearray(body)
+    struct.pack_into("<Q", bad, len(MAGIC) + 8 + 8 * k, 23)
+    path.write_bytes(head + b"\n" + bytes(bad))
+    assert load_coeffs(path, k - 1)[1] == values[: k - 1]
+    assert load_coeffs(path, k)[1] == values[:k]  # indices 0..k-1
+    for count in (k + 1, None):
+        with pytest.raises(CacheError):
+            load_coeffs(path, count)
+    # the header prec is checked against the word count without the payload
+    path.write_bytes(head.replace(b'"prec": 39', b'"prec": 38') + b"\n" + body)
+    with pytest.raises(CacheError):
+        load_coeffs(path, 1)
+
+
+def test_text_files_decode_whole(tmp_path):
+    # a legacy text mod-m file and an exact file ignore the prefix count
+    legacy = save_coeffs(tmp_path, "omega", [3, 1, 4], 23, prec=2,
+                         encoding="text")
+    assert load_coeffs(legacy, 1)[1] == [3, 1, 4]
+    assert find_coeffs(tmp_path, "omega", 23, min_prec=0)[1] == [3, 1, 4]
+    exact = save_coeffs(tmp_path, "f", [1, 1, -1], 0, prec=2)
+    assert load_coeffs(exact, 1)[1] == [1, 1, -1]
 
 
 def test_failed_write_keeps_old_file(tmp_path, monkeypatch):
@@ -66,7 +141,8 @@ def test_payload_length_validation(tmp_path):
 
 
 def test_corruption_detection(tmp_path):
-    path = save_coeffs(tmp_path, "omega", [1, 2, 3], 23, prec=2)
+    path = save_coeffs(tmp_path, "omega", [1, 2, 3], 23, prec=2,
+                       encoding="text")
     head, _ = path.read_bytes().split(b"\n", 1)
 
     path.write_bytes(b"garbage\n[1,2,3]\n")
@@ -82,6 +158,13 @@ def test_corruption_detection(tmp_path):
         load_coeffs(path)
 
     for payload in (b"[1,-2,3]", b"[1,2,23]", b"[-1,0,22]"):  # each out of range
+        path.write_bytes(head + b"\n" + payload + b"\n")
+        with pytest.raises(CacheError):
+            load_coeffs(path)
+    for payload in (b"[1.5,2,3]", b'["1",2,3]', b"[null,2,3]", b"[[1],2,3]",
+                    b'["1","2","3"]', b"[[1],[2],[3]]", b"[1,2,3.0]",
+                    b"[NaN,2,3]", b"[1,Infinity,3]", b"[1,2,-Infinity]",
+                    b'{"a":1}'):  # not an integer array
         path.write_bytes(head + b"\n" + payload + b"\n")
         with pytest.raises(CacheError):
             load_coeffs(path)
@@ -107,6 +190,7 @@ def test_find_coeffs_picks_deepest(tmp_path):
     save_coeffs(tmp_path, "omega", list(range(21)), 23, prec=20)
     hit = find_coeffs(tmp_path, "omega", 23, min_prec=5)
     assert hit is not None and hit[0]["prec"] == 20
+    assert hit[1] == list(range(6))  # binary: decoded through index min_prec
     assert find_coeffs(tmp_path, "omega", 23, min_prec=50) is None
     assert find_coeffs(tmp_path, "omega", 5, min_prec=5) is None
     assert find_coeffs(tmp_path, "f", 23, min_prec=5) is None

@@ -4,6 +4,8 @@ import pytest
 
 from qcong import cache
 from qcong.cli import main
+from qcong.mocktheta import omega_coeffs
+from qcong.series import Ring
 
 
 def run(capsys, *argv):
@@ -96,21 +98,23 @@ WARM_COMMANDS = {
 def test_warm_command_decodes_omega_once(capsys, tmp_path, monkeypatch, name):
     cold_code, cold_out, _ = run(capsys, *WARM_COMMANDS[name],
                                  "--cache-dir", str(tmp_path / "own"))
+    (own,) = (tmp_path / "own").glob("omega_*.qser")
+    built = cache.load_coeffs(own)[0]["prec"] + 1  # entries the cold run built
     assert run(capsys, *WARM_COMMANDS["certify"],
                "--cache-dir", str(tmp_path))[0] == 0
     assert [p.name for p in tmp_path.glob("*.qser")] == ["omega_mod23_p560.qser"]
     decoded = []  # lengths of the omega tables the cache decodes
     load = cache.load_coeffs
 
-    def counting_load(path):
-        header, values = load(path)
+    def counting_load(path, *a, **kw):
+        header, values = load(path, *a, **kw)
         if header["function"] == "omega":
             decoded.append(len(values))
         return header, values
 
     monkeypatch.setattr(cache, "load_coeffs", counting_load)
     code, out, _ = run(capsys, *WARM_COMMANDS[name], "--cache-dir", str(tmp_path))
-    assert decoded == [561]
+    assert decoded == [built]
     assert [p.name for p in tmp_path.glob("*.qser")] == ["omega_mod23_p560.qser"]
     assert code == cold_code == 0
     if name == "heckecheck":  # the one field that says where the table came from
@@ -123,12 +127,39 @@ def test_warm_command_decodes_omega_once(capsys, tmp_path, monkeypatch, name):
 
 
 def test_cold_certify_cache_files(capsys, tmp_path):
-    # one table at the eigencheck depth, one at the deepest row index
+    # one table, to the deeper of the eigencheck depth (9440) and the rows
     code, out, _ = run(capsys, "certify", *TWIST, "--p", "5", "--M", "1", "2", "3",
                        "--cache-dir", str(tmp_path))
     assert code == 0 and out.strip().splitlines()[-1] == "3,10416,12,12,true"
     assert sorted(p.name for p in tmp_path.glob("*.qser")) == [
-        "omega_mod23_p10416.qser", "omega_mod23_p9440.qser"]
+        "omega_mod23_p10416.qser"]
+
+
+@pytest.mark.parametrize("name", sorted(WARM_COMMANDS))
+def test_legacy_text_cache_is_read(capsys, tmp_path, name):
+    # a mod-23 omega file in the older text encoding still serves every command
+    cold_code, cold_out, _ = run(capsys, *WARM_COMMANDS[name])
+    values = omega_coeffs(600, Ring(23)).values
+    legacy = cache.save_coeffs(tmp_path, "omega", values, 23, 600,
+                               encoding="text")
+    code, out, _ = run(capsys, *WARM_COMMANDS[name], "--cache-dir", str(tmp_path))
+    assert code == cold_code == 0
+    assert list(tmp_path.glob("*.qser")) == [legacy]
+    if name == "heckecheck":
+        cold_doc, doc = json.loads(cold_out), json.loads(out)
+        assert doc.pop("table_source") == {"f": None, "omega": "loaded"}
+        cold_doc.pop("table_source")
+        assert doc == cold_doc
+    else:
+        assert out == cold_out
+
+
+def test_certify_rejects_bad_prime_before_building(capsys, tmp_path):
+    # p is checked before any table is built for the rows
+    code, out, err = run(capsys, "certify", *TWIST, "--p", "25", "--M", "4",
+                         "--cache-dir", str(tmp_path))
+    assert code == 2 and out == "" and "invalid certification request" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_heckecheck_table_source_without_cache(capsys):

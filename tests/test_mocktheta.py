@@ -231,12 +231,16 @@ def test_tables_growth_and_preload():
 
 def test_store_loads_or_builds_once(tmp_path, monkeypatch):
     calls = []
+    decoded = []  # entries each load_coeffs call returned
     for name in ("find_coeffs", "load_coeffs", "save_coeffs"):
         original = getattr(cache, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls.append(_name)
-            return _original(*args, **kwargs)
+            result = _original(*args, **kwargs)
+            if _name == "load_coeffs":
+                decoded.append(len(result[1]))
+            return result
 
         monkeypatch.setattr(cache, name, counted)
     ring = Ring(23)
@@ -250,9 +254,10 @@ def test_store_loads_or_builds_once(tmp_path, monkeypatch):
 
     calls.clear()
     warm = MockTables(ring, tmp_path)
-    for upto in (10, 40, 25):
+    for upto in (10, 40, 25, 40):  # growing re-finds; a held table is reused
         warm.ensure("omega", upto)
-    assert calls == ["find_coeffs", "load_coeffs"]
+    assert calls == ["find_coeffs", "load_coeffs"] * 2
+    assert decoded == [11, 41]  # each load decodes exactly upto + 1 entries
     assert warm.source == {"f": None, "omega": "loaded"}
     assert warm.values("omega") == cold.values("omega")
 
