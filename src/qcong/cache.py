@@ -4,11 +4,13 @@ A cache file is a JSON header line followed by the payload:
 
   - text encoding, exact ring: one decimal integer per line (values can run
     to hundreds of digits, so decimal strings are mandatory);
-  - text encoding, modular ring (written by earlier versions, still read):
-    a single line holding a JSON array;
-  - binary encoding (modular rings only, and their default): magic bytes
-    ``QSER1``, a little-endian u64 word count, then fixed-width
-    little-endian u64 words.  A reader can decode any prefix of it.
+  - binary encoding (every modular ring whose residues fit a u64 word,
+    i.e. modulus <= 2**64): magic bytes ``QSER1``, a little-endian u64 word
+    count, then fixed-width little-endian u64 words.  A reader can decode
+    any prefix of it;
+  - text encoding, modular ring (moduli above 2**64; earlier versions wrote
+    every modular ring this way, and those files are still read): a single
+    line holding a JSON array.
 
 Header fields: format, encoding, function (f | omega | phi_star), delta, r,
 modulus, prec, created.  For the index-0 functions f and omega the payload
@@ -50,18 +52,12 @@ def _file_name(function: str, modulus: int, prec: int, delta, r) -> str:
 
 
 def save_coeffs(directory, function: str, values: list, modulus: int,
-                prec: int, delta: int = None, r: int = None,
-                encoding: str = None) -> Path:
+                prec: int, delta: int = None, r: int = None) -> Path:
     """Write a coefficient array to the cache directory; returns the path.
 
-    `encoding` defaults to "binary" for a modular ring and "text" for the
-    exact ring."""
-    if encoding is None:
-        encoding = "binary" if modulus else "text"
-    if encoding not in ("text", "binary"):
-        raise ValueError("encoding must be 'text' or 'binary'")
-    if encoding == "binary" and modulus == 0:
-        raise ValueError("binary encoding is for modular rings only")
+    A modular ring whose residues fit a u64 word is written binary; the
+    exact ring and larger moduli are written as text."""
+    encoding = "binary" if 0 < modulus <= 1 << 64 else "text"
     if len(values) != _payload_len(function, prec):
         raise ValueError(
             f"payload length {len(values)} does not match prec {prec} for {function}"

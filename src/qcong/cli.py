@@ -21,14 +21,8 @@ from .borcherds import (
     phi_star,
     predict_coefficient,
 )
-from .hecke import (
-    CongruenceSetting,
-    density_scan,
-    eigencheck,
-    eigencheck_depth,
-    sturm_bound,
-)
-from .mocktheta import MockTables, required_depth
+from .hecke import CongruenceSetting, density_scan, eigencheck, sturm_bound
+from .mocktheta import MockTables
 from .ntheory import NotInvertible
 from .qexpr import (
     ExprSyntaxError,
@@ -144,18 +138,17 @@ def cmd_certify(args) -> int:
         setting = CongruenceSetting(args.ell, args.R, args.B)
         if prec is None:
             prec = sturm_bound(setting.k, 6)
-        depth = eigencheck_depth(params, setting, args.p, prec)
         eigen = EigenData(setting, args.p, args.lam)
         predictions = [
             (M,) + predict_coefficient(params, args.p, M, eigen) for M in args.M
         ]
-        # each table once, to the deepest index the eigencheck or a row reads
+        # the eigencheck fetches each table once, deep enough for the rows too
+        rows_need = {}
+        for _, kind, index, _ in predictions:
+            rows_need[kind] = max(rows_need.get(kind, 0), index)
         tables = MockTables(Ring(setting.modulus), _cache_dir(args))
-        for kind, need in required_depth(params.delta, params.r, depth).items():
-            need = max([need] + [i for _, k, i, _ in predictions if k == kind])
-            if need:
-                tables.ensure(kind, need)
-        report = eigencheck(params, setting, args.p, args.lam, prec, tables)
+        report = eigencheck(params, setting, args.p, args.lam, prec, tables,
+                            also_reads=rows_need)
     except (ValueError, NotInvertible) as exc:
         print(f"invalid certification request: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -257,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--exact", action="store_true",
                    help="exact integer arithmetic (the default)")
     c.add_argument("--binary-cache", action="store_true",
-                   help="no effect: modular caches are always written binary")
+                   help="no effect, kept for old scripts: a modular cache is "
+                   "written binary whenever its modulus is at most 2**64")
     _add_common(c)
     c.set_defaults(func=cmd_coeffs)
 

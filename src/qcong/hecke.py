@@ -124,31 +124,32 @@ class HeckeCheckReport:
         }
 
 
-def eigencheck_depth(params: TwistParams, setting: CongruenceSetting, p: int,
-                     prec: int) -> int:
-    """Validate an eigencheck request; returns the expansion depth
-    p*(prec+1)-1 it needs so that the transform is known through q^prec."""
+def eigencheck(params: TwistParams, setting: CongruenceSetting, p: int,
+               lam: int, prec: int, tables: MockTables = None,
+               _phi: PhiStar = None, also_reads: dict = None) -> HeckeCheckReport:
+    """Verify Phi* | T_{p,k} = lam * Phi* (mod ell^R) coefficientwise
+    through q^prec.
+
+    Builds the expansion mod ell^R to index p*(prec+1)-1 so the transform is
+    known through q^prec, applies the Hecke operator at the pole-clearing
+    weight, and reports the first failing index if any.  `also_reads` maps
+    a table kind to the deepest index the caller will read from `tables`
+    afterwards; each table is then ensured once, to the deeper of that and
+    the expansion's own need, after the request is validated.
+    """
     if prec < 1:
         raise ValueError(f"prec = {prec} must be at least 1")
     if not is_prime(p) or p in (2, 3, setting.ell):
         raise ValueError(f"p = {p} must be a prime outside {{2, 3, ell}}")
     if splitting_type(setting.ell, params.delta) == "split":
         raise ValueError(f"ell = {setting.ell} splits for delta = {params.delta}")
-    return p * (prec + 1) - 1
-
-
-def eigencheck(params: TwistParams, setting: CongruenceSetting, p: int,
-               lam: int, prec: int, tables: MockTables = None,
-               _phi: PhiStar = None) -> HeckeCheckReport:
-    """Verify Phi* | T_{p,k} = lam * Phi* (mod ell^R) coefficientwise
-    through q^prec.
-
-    Builds the expansion mod ell^R to eigencheck_depth(...), applies the
-    Hecke operator at the pole-clearing weight, and reports the first
-    failing index if any.
-    """
-    depth = eigencheck_depth(params, setting, p, prec)
     ring = Ring(setting.modulus)
+    depth = p * (prec + 1) - 1
+    if tables is not None and also_reads:
+        for kind, need in required_depth(params.delta, params.r, depth).items():
+            need = max(need, also_reads.get(kind, 0))
+            if need:
+                tables.ensure(kind, need)
     phi = _phi
     if phi is None or phi.series.prec <= depth:
         phi = phi_star(params, depth, ring, tables)
@@ -259,7 +260,6 @@ __all__ = [
     "SmallPrime",
     "density_scan",
     "eigencheck",
-    "eigencheck_depth",
     "hasse_weight",
     "hecke_operator",
     "index_gamma0",

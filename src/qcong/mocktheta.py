@@ -79,8 +79,8 @@ class MockTables:
     `ensure(which, upto)` keeps a held table that already covers `upto`.
     Otherwise, with a cache directory, it reads the deepest cached file
     covering `upto` (a binary file only through index `upto`); failing that
-    it builds the table and saves it there, binary for a modular ring and
-    text for the exact one.  Growing reads or rebuilds again, so callers
+    it builds the table and saves it there (`cache.save_coeffs` picks the
+    encoding from the modulus).  Growing reads or rebuilds again, so callers
     should ensure the maximum depth up front.  `source[which]` is "loaded",
     "built" or None (not yet needed).
     """

@@ -15,29 +15,23 @@ def test_text_exact_round_trip(tmp_path):
 
 
 def test_text_modular_round_trip(tmp_path):
-    values = [1, 17, 1]
-    path = save_coeffs(tmp_path, "phi_star", values, 23, prec=3,
-                       delta=-8, r=4, encoding="text")
+    # residues of a modulus above 2**64 do not fit a binary word
+    values = [1, 2 ** 64 + 17, 2 ** 65 - 1]
+    path = save_coeffs(tmp_path, "phi_star", values, 2 ** 65, prec=3,
+                       delta=-8, r=4)
     header, got = load_coeffs(path)
     assert got == values and header["delta"] == -8 and header["r"] == 4
     assert header["encoding"] == "text"
+    assert load_coeffs(path, 1)[1] == values  # a text file decodes whole
 
 
 def test_binary_round_trip(tmp_path):
     values = list(range(23)) * 3
-    path = save_coeffs(tmp_path, "omega", values, 23, prec=68,
-                       encoding="binary")
+    path = save_coeffs(tmp_path, "omega", values, 23, prec=68)
     raw = path.read_bytes()
     assert MAGIC in raw
     header, got = load_coeffs(path)
     assert got == values and header["encoding"] == "binary"
-
-
-def test_default_encoding_follows_ring(tmp_path):
-    assert load_coeffs(save_coeffs(tmp_path, "f", [1, 2], 23, prec=1))[0][
-        "encoding"] == "binary"
-    assert load_coeffs(save_coeffs(tmp_path, "f", [1, -2], 0, prec=1))[0][
-        "encoding"] == "text"
 
 
 def test_binary_golden_bytes(tmp_path):
@@ -54,7 +48,7 @@ def test_binary_golden_bytes(tmp_path):
 @pytest.mark.parametrize("word", [-1, 2 ** 64, 2 ** 70])
 def test_binary_word_out_of_range(tmp_path, word):
     with pytest.raises(ValueError):
-        save_coeffs(tmp_path, "f", [1, word], 23, prec=1, encoding="binary")
+        save_coeffs(tmp_path, "f", [1, word], 23, prec=1)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -96,10 +90,9 @@ def test_binary_prefix_read(tmp_path):
         load_coeffs(path, 1)
 
 
-def test_text_files_decode_whole(tmp_path):
+def test_text_files_decode_whole(tmp_path, write_legacy_text):
     # a legacy text mod-m file and an exact file ignore the prefix count
-    legacy = save_coeffs(tmp_path, "omega", [3, 1, 4], 23, prec=2,
-                         encoding="text")
+    legacy = write_legacy_text(tmp_path, "omega", [3, 1, 4], 23, prec=2)
     assert load_coeffs(legacy, 1)[1] == [3, 1, 4]
     assert find_coeffs(tmp_path, "omega", 23, min_prec=0)[1] == [3, 1, 4]
     exact = save_coeffs(tmp_path, "f", [1, 1, -1], 0, prec=2)
@@ -130,8 +123,11 @@ def test_unwritable_directory_is_cache_error(tmp_path):
 
 
 def test_binary_requires_modular(tmp_path):
-    with pytest.raises(ValueError):
-        save_coeffs(tmp_path, "omega", [1, 2], 0, prec=1, encoding="binary")
+    # binary exactly when the ring is modular and its residues fit a u64 word
+    for modulus, encoding in ((23, "binary"), (2 ** 64, "binary"),
+                              (2 ** 64 + 1, "text"), (0, "text")):
+        path = save_coeffs(tmp_path, "f", [1, 2], modulus, prec=1)
+        assert load_coeffs(path)[0]["encoding"] == encoding
 
 
 def test_payload_length_validation(tmp_path):
@@ -140,9 +136,8 @@ def test_payload_length_validation(tmp_path):
     save_coeffs(tmp_path, "phi_star", [1, 2, 3], 0, prec=3)   # b(1..3)
 
 
-def test_corruption_detection(tmp_path):
-    path = save_coeffs(tmp_path, "omega", [1, 2, 3], 23, prec=2,
-                       encoding="text")
+def test_corruption_detection(tmp_path, write_legacy_text):
+    path = write_legacy_text(tmp_path, "omega", [1, 2, 3], 23, prec=2)
     head, _ = path.read_bytes().split(b"\n", 1)
 
     path.write_bytes(b"garbage\n[1,2,3]\n")
@@ -173,8 +168,7 @@ def test_corruption_detection(tmp_path):
     empty = save_coeffs(tmp_path, "phi_star", [], 23, prec=0)  # no values to range-check
     assert load_coeffs(empty)[1] == []
 
-    binary = save_coeffs(tmp_path, "f", [1, 2, 3], 23, prec=2,
-                         encoding="binary")
+    binary = save_coeffs(tmp_path, "f", [1, 2, 3], 23, prec=2)
     head2, _ = binary.read_bytes().split(b"\n", 1)
     words = MAGIC + struct.pack("<QQQQ", 3, 1, 23, 3)  # a word equal to m
     binary.write_bytes(head2 + b"\n" + words)

@@ -136,12 +136,11 @@ def test_cold_certify_cache_files(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(WARM_COMMANDS))
-def test_legacy_text_cache_is_read(capsys, tmp_path, name):
+def test_legacy_text_cache_is_read(capsys, tmp_path, write_legacy_text, name):
     # a mod-23 omega file in the older text encoding still serves every command
     cold_code, cold_out, _ = run(capsys, *WARM_COMMANDS[name])
     values = omega_coeffs(600, Ring(23)).values
-    legacy = cache.save_coeffs(tmp_path, "omega", values, 23, 600,
-                               encoding="text")
+    legacy = write_legacy_text(tmp_path, "omega", values, 23, 600)
     code, out, _ = run(capsys, *WARM_COMMANDS[name], "--cache-dir", str(tmp_path))
     assert code == cold_code == 0
     assert list(tmp_path.glob("*.qser")) == [legacy]
@@ -354,6 +353,36 @@ def test_binary_cache_round_trip(capsys, tmp_path):
     code, out2, _ = run(capsys, "coeffs", "--function", "omega", "--upto", "30",
                         "--modulus", "23", "--cache-dir", str(tmp_path))
     assert out2 == out1
+
+
+BIG = 23 ** 15  # residues past a u64 word (2**64): the cache falls back to text
+BIG_COMMANDS = {
+    "coeffs": ("coeffs", "--function", "omega", "--upto", "40",
+               "--modulus", str(BIG)),
+    "phi": ("phi", "--delta", "-8", "--r", "4", "--prec", "20",
+            "--modulus", str(BIG)),
+    "heckecheck": ("heckecheck", "--delta", "-8", "--r", "4", "--p", "5",
+                   "--ell", "23", "--R", "15", "--B", "2", "--prec", "4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BIG_COMMANDS))
+def test_modulus_above_u64_caches_as_text(capsys, tmp_path, name):
+    argv = BIG_COMMANDS[name] + ("--cache-dir", str(tmp_path))
+    cold_code, cold_out, cold_err = run(capsys, *argv)
+    assert cold_err == ""
+    (path,) = tmp_path.glob("*.qser")
+    assert cache.load_coeffs(path)[0]["encoding"] == "text"
+    code, out, _ = run(capsys, *argv)
+    assert list(tmp_path.glob("*.qser")) == [path]
+    if name == "heckecheck":
+        cold_doc, doc = json.loads(cold_out), json.loads(out)
+        assert cold_doc.pop("table_source")["omega"] == "built"
+        assert doc.pop("table_source")["omega"] == "loaded"
+        assert doc == cold_doc
+    else:
+        assert out == cold_out
+    assert code == cold_code == (5 if name == "heckecheck" else 0)  # 5: not eigen
 
 
 @pytest.mark.parametrize("command", [

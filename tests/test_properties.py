@@ -118,7 +118,7 @@ COEFFS = st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=120)
 @given(F=COEFFS, G=COEFFS, a=st.integers(-10 ** 4, 10 ** 4),
        p=st.sampled_from([2, 3, 5, 7, 11]), k=st.integers(2, 46),
        m=st.sampled_from([0, 23, 529]))
-def test_hecke_operator_linear(F, G, a, p, k, m):
+def test_hecke_operator_linear_random(F, G, a, p, k, m):
     """T_p(a F + G) = a T_p F + T_p G."""
     ring = Ring(m) if m else EXACT
     P = min(len(F), len(G))
