@@ -10,7 +10,6 @@ explicit congruences for the mock theta coefficients.
 from .ntheory import (
     NotInvertible,
     gauss_sum_numeric,
-    gauss_sum_ratio,
     is_fundamental_discriminant,
     kronecker,
     mod_inverse,
@@ -22,7 +21,6 @@ from .ntheory import (
 from .series import (
     EXACT,
     ExponentMismatch,
-    FractionalExponent,
     NonIntegralNormalization,
     NonUnitConstantTerm,
     Ring,
@@ -35,7 +33,6 @@ from .series import (
 from .mocktheta import (
     CPlusQuery,
     IndexNotIntegral,
-    MockCoeffTable,
     MockTables,
     c_plus,
     c_series,

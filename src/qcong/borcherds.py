@@ -14,6 +14,7 @@ from .mocktheta import (
     cplus_index,
 )
 from .ntheory import (
+    _fp_gauss_table,
     divisors,
     factorize,
     gcd,
@@ -132,71 +133,6 @@ class ComplexApprox:
         return f"ComplexApprox({float(self.real):.6g}, {float(self.imag):.6g}j)"
 
 
-def _fp_arctan_inv(x: int, scale: int) -> int:
-    """arctan(1/x) * scale by the alternating power series."""
-    total = 0
-    p = scale // x
-    x2 = x * x
-    k = 0
-    while True:
-        term = p // (2 * k + 1)
-        if not term:
-            return total
-        total += -term if k % 2 else term
-        p //= x2
-        k += 1
-
-
-def _fp_pi(scale: int) -> int:
-    """pi * scale via Machin's formula, with guard digits."""
-    guard = 10 ** 10
-    v = 16 * _fp_arctan_inv(5, scale * guard) - 4 * _fp_arctan_inv(239, scale * guard)
-    return v // guard
-
-
-def _fp_sincos(num: int, den: int, scale: int, pi_fp: int) -> tuple:
-    """(sin, cos) of 2*pi*num/den (0 <= num < den) as scale-scaled integers."""
-    guard = 10 ** 10
-    s2 = scale * guard
-    x = 2 * pi_fp * guard * num // den
-    sin_t = cos_t = 0
-    term = s2
-    k = 0
-    while term:
-        r = k % 4
-        if r == 0:
-            cos_t += term
-        elif r == 1:
-            sin_t += term
-        elif r == 2:
-            cos_t -= term
-        else:
-            sin_t -= term
-        term = term * x // s2 // (k + 1)
-        k += 1
-    return sin_t // guard, cos_t // guard
-
-
-def _fp_gauss_table(delta: int, scale: int) -> list:
-    """G(a, delta) for a = 0..|delta|-1 as scale-scaled (real, imag) pairs,
-    summed from first-principles complex exponentials."""
-    ad = abs(delta)
-    pi_fp = _fp_pi(scale)
-    unit = [_fp_sincos(t, ad, scale, pi_fp) for t in range(ad)]
-    chi = [kronecker(delta, s) for s in range(ad)]
-    table = []
-    for a in range(ad):
-        re = im = 0
-        for s in range(ad):
-            if chi[s]:
-                # e(a*s/delta) with delta < 0: angle 2*pi*((-a*s) mod |delta|)/|delta|
-                sn, cs = unit[(-a * s) % ad]
-                re += chi[s] * cs
-                im += chi[s] * sn
-        table.append((re, im))
-    return table
-
-
 def phi_raw_numeric(params: TwistParams, upto: int,
                     tables: MockTables = None) -> list:
     """Numeric oracle for the raw q-expansion
@@ -206,10 +142,10 @@ def phi_raw_numeric(params: TwistParams, upto: int,
     with G(a, delta) = sum_{s mod delta} (delta/s) e(a*s/delta) summed from
     complex exponentials, then divided by -c(1) G(1, delta).
 
-    The exponentials are evaluated in fixed-point arithmetic whose precision
-    is chosen from the size of the exact c-values, so the returned
-    ComplexApprox values round to the exact coefficients; imaginary parts
-    must vanish to the working tolerance."""
+    The Gauss sums come from the fixed-point summation behind
+    ntheory.gauss_sum_numeric, at a precision chosen from the size of the
+    exact c-values, so the returned ComplexApprox values round to the exact
+    coefficients; imaginary parts must vanish to the working tolerance."""
     if tables is not None and tables.ring != EXACT:
         raise ValueError("the numeric oracle needs exact tables")
     delta = params.delta

@@ -19,6 +19,7 @@ has prec + 1 entries (indices 0..prec); for phi_star it has prec entries
 
 Files are written under a temporary name in the target directory and then
 renamed into place, so a reader never sees a partly written file.
+`load_or_build` is the one load-or-build policy over these files.
 """
 
 import json
@@ -135,7 +136,9 @@ def load_coeffs(path, count: int = None) -> tuple:
                 raise CacheError(f"{path}: bad header JSON: {exc}") from exc
             if not isinstance(header, dict) or header.get("format") != FORMAT_TAG:
                 raise CacheError(f"{path}: unrecognized format tag")
-            expected = _payload_len(header.get("function", ""), header.get("prec", -1))
+            for key in ("prec", "modulus"):
+                _require_int(path, header, key)
+            expected = _payload_len(header.get("function", ""), header["prec"])
             encoding = header.get("encoding")
             if encoding == "text":
                 values = _decode_text(path, fh.read(), header["modulus"], expected)
@@ -153,6 +156,13 @@ def load_coeffs(path, count: int = None) -> tuple:
     if out_of_range:
         raise CacheError(f"{path}: values out of range for modulus {m}")
     return header, values
+
+
+def _require_int(path, header: dict, key: str) -> int:
+    value = header.get(key)
+    if type(value) is not int:
+        raise CacheError(f"{path}: header {key} {value!r} is not an integer")
+    return value
 
 
 def _reject_number(token):
@@ -209,7 +219,8 @@ def find_coeffs(directory, function: str, modulus: int, min_prec: int,
 
     Scans the directory for matching function/modulus/twist headers and
     returns the deepest match as (header, values).  A binary file decodes
-    only the entries through index min_prec; a text file decodes whole.
+    only the entries through index min_prec; a text file decodes whole.  A
+    matching header whose prec is not an integer raises CacheError.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -228,14 +239,32 @@ def find_coeffs(directory, function: str, modulus: int, min_prec: int,
             or header.get("modulus") != modulus
             or header.get("delta") != delta
             or header.get("r") != r
-            or header.get("prec", -1) < min_prec
+            or _require_int(path, header, "prec") < min_prec
         ):
             continue
-        if best is None or header["prec"] > best[1].get("prec", -1):
+        if best is None or header["prec"] > best[1]["prec"]:
             best = (path, header)
     if best is None:
         return None
     return load_coeffs(best[0], _payload_len(function, min_prec))
 
 
-__all__ = ["CacheError", "FORMAT_TAG", "MAGIC", "find_coeffs", "load_coeffs", "save_coeffs"]
+def load_or_build(directory, function: str, modulus: int, prec: int, build,
+                  delta: int = None, r: int = None) -> tuple:
+    """(values, "loaded" | "built") for a table through `prec`.
+
+    With a directory, the deepest cached file covering `prec` is decoded
+    (a binary file only through `prec`); otherwise `build()` makes the
+    values, which are then saved there.  Without a directory it just builds.
+    """
+    hit = directory and find_coeffs(directory, function, modulus, prec, delta, r)
+    if hit:
+        return hit[1], "loaded"
+    values = build()
+    if directory:
+        save_coeffs(directory, function, values, modulus, prec, delta, r)
+    return values, "built"
+
+
+__all__ = ["CacheError", "FORMAT_TAG", "MAGIC", "find_coeffs", "load_coeffs",
+           "load_or_build", "save_coeffs"]

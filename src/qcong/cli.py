@@ -16,7 +16,6 @@ from . import cache
 from .borcherds import (
     EigenData,
     TwistParams,
-    ZeroNormalizer,
     exact_c1,
     phi_star,
     predict_coefficient,
@@ -83,26 +82,16 @@ def cmd_phi(args) -> int:
     except ValueError as exc:
         print(f"invalid twist: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    directory = _cache_dir(args)
-    values = None
     c1 = exact_c1(params)
-    try:
-        if directory:
-            hit = cache.find_coeffs(directory, "phi_star", modulus, args.prec,
-                                    args.delta, args.r)
-            if hit is not None:
-                values = hit[1][: args.prec]
-        if values is None:
-            if c1 == 0:
-                raise ZeroNormalizer(f"c(1) = 0 for ({args.delta}, {args.r})")
-            phi = phi_star(params, args.prec, _ring(modulus))
-            values = phi.series.coeffs[1:]
-            if directory:
-                cache.save_coeffs(directory, "phi_star", values, modulus,
-                                  args.prec, args.delta, args.r)
-    except ZeroNormalizer as exc:
-        print(f"degenerate normalizer: {exc}", file=sys.stderr)
+    if c1 == 0:
+        print(f"degenerate normalizer: c(1) = 0 for ({args.delta}, {args.r})",
+              file=sys.stderr)
         return EXIT_NORMALIZER
+    values, _ = cache.load_or_build(
+        _cache_dir(args), "phi_star", modulus, args.prec,
+        lambda: phi_star(params, args.prec, _ring(modulus)).series.coeffs[1:],
+        args.delta, args.r)
+    values = values[: args.prec]  # a text file decodes whole
     if args.json:
         _emit_json({
             "command": "phi", "delta": args.delta, "r": args.r,
@@ -249,9 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--modulus", type=int, default=0)
     c.add_argument("--exact", action="store_true",
                    help="exact integer arithmetic (the default)")
-    c.add_argument("--binary-cache", action="store_true",
-                   help="no effect, kept for old scripts: a modular cache is "
-                   "written binary whenever its modulus is at most 2**64")
     _add_common(c)
     c.set_defaults(func=cmd_coeffs)
 

@@ -21,8 +21,6 @@ class InsufficientPrecision(ValueError):
 def hecke_operator(g: Series, p: int, k: int) -> Series:
     """Weight-k Hecke action: coefficient n of g|T_p is a(pn) + p^(k-1) a(n/p)
     (second term only when p | n).  Output precision is floor(prec/p)."""
-    if g.frac24:
-        raise ValueError("Hecke operators act on integral exponent lattices")
     out_prec = g.prec // p
     if out_prec < 1:
         raise InsufficientPrecision(f"precision {g.prec} too small for T_{p}")

@@ -11,19 +11,11 @@ class IndexNotIntegral(ValueError):
     """The dispatched f/omega index is not a nonnegative integer."""
 
 
-@dataclass
-class MockCoeffTable:
-    which: str            # "f" or "omega"
-    ring: Ring
-    upto: int
-    values: list          # values[n] = a(n) for 0 <= n <= upto
-
-
 # Power of (-q;q)_n in the denominator of f's summands.
 F_DENOMINATOR_EXPONENT = 1
 
 
-def omega_coeffs(N: int, ring: Ring = EXACT) -> MockCoeffTable:
+def omega_coeffs(N: int, ring: Ring = EXACT) -> list:
     """a_omega(0..N) for omega(q) = sum_n q^(2n(n+1)) / ((1-q)(1-q^3)...(1-q^(2n+1)))^2.
 
     Nested (Horner) scheme from the deepest reachable summand outwards:
@@ -45,10 +37,10 @@ def omega_coeffs(N: int, ring: Ring = EXACT) -> MockCoeffTable:
             break
         t[:0] = [1] + [0] * (4 * n - 1)
         n -= 1
-    return MockCoeffTable("omega", ring, N, t)
+    return t
 
 
-def f_coeffs(N: int, ring: Ring = EXACT) -> MockCoeffTable:
+def f_coeffs(N: int, ring: Ring = EXACT) -> list:
     """a_f(0..N) for f(q) = sum_n q^(n^2) / ((1+q)(1+q^2)...(1+q^n))^e with
     e = F_DENOMINATOR_EXPONENT; for e = 1 the expansion begins
     1 + q - q^2 + q^3 - q^6 + q^7 + ...
@@ -67,7 +59,7 @@ def f_coeffs(N: int, ring: Ring = EXACT) -> MockCoeffTable:
         binomial_inverse_inplace(t, n, -1, F_DENOMINATOR_EXPONENT, m)
         t[:0] = [1] + [0] * (2 * n - 2)
         n -= 1
-    return MockCoeffTable("f", ring, N, t)
+    return t
 
 
 _BUILDERS = {"f": f_coeffs, "omega": omega_coeffs}
@@ -76,11 +68,10 @@ _BUILDERS = {"f": f_coeffs, "omega": omega_coeffs}
 class MockTables:
     """The f/omega coefficient store over a fixed ring.
 
-    `ensure(which, upto)` keeps a held table that already covers `upto`.
-    Otherwise, with a cache directory, it reads the deepest cached file
-    covering `upto` (a binary file only through index `upto`); failing that
-    it builds the table and saves it there (`cache.save_coeffs` picks the
-    encoding from the modulus).  Growing reads or rebuilds again, so callers
+    `ensure(which, upto)` keeps a held table that already covers `upto`;
+    otherwise it goes through `cache.load_or_build`: the deepest cached
+    file covering `upto` (a binary file only through index `upto`), else a
+    build that is then saved.  Growing reads or rebuilds again, so callers
     should ensure the maximum depth up front.  `source[which]` is "loaded",
     "built" or None (not yet needed).
     """
@@ -94,24 +85,9 @@ class MockTables:
     def ensure(self, which: str, upto: int):
         if len(self._tables[which]) > upto:
             return self
-        m = self.ring.modulus
-        hit = self.cache_dir and cache.find_coeffs(self.cache_dir, which, m, upto)
-        if hit:
-            self._tables[which], self.source[which] = hit[1], "loaded"
-            return self
-        values = _BUILDERS[which](upto, self.ring).values
-        self._tables[which], self.source[which] = values, "built"
-        if self.cache_dir:
-            cache.save_coeffs(self.cache_dir, which, values, m, upto)
-        return self
-
-    def preload(self, which: str, values: list):
-        """Install externally supplied values (e.g. from a coefficient cache)."""
-        if which not in self._tables:
-            raise ValueError(f"unknown function {which!r}")
-        if len(values) > len(self._tables[which]):
-            self._tables[which] = list(values)
-            self.source[which] = "loaded"
+        self._tables[which], self.source[which] = cache.load_or_build(
+            self.cache_dir, which, self.ring.modulus, upto,
+            lambda: _BUILDERS[which](upto, self.ring))
         return self
 
     def values(self, which: str) -> list:
@@ -219,7 +195,6 @@ __all__ = [
     "CPlusQuery",
     "CPLUS_DISPATCH",
     "IndexNotIntegral",
-    "MockCoeffTable",
     "MockTables",
     "c_plus",
     "c_series",

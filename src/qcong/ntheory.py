@@ -1,7 +1,8 @@
 """Number-theoretic primitives: Kronecker symbols, Moebius, valuations,
-divisor sums, modular inverses, fundamental discriminants, Gauss sums."""
+divisor sums, modular inverses, fundamental discriminants, and the one
+numeric Gauss-sum oracle (fixed-point complex exponentials)."""
 
-from math import cos, gcd, pi, sin
+from math import gcd
 
 
 class NotInvertible(ValueError):
@@ -185,33 +186,87 @@ def splitting_type(ell: int, delta: int) -> str:
     return "split" if kronecker(delta, ell) == 1 else "inert"
 
 
-def gauss_sum_ratio(a: int, delta: int) -> int:
-    """The ratio G(a, delta)/G(1, delta) of twisted Gauss sums.
+def _fp_arctan_inv(x: int, scale: int) -> int:
+    """arctan(1/x) * scale by the alternating power series."""
+    total = 0
+    p = scale // x
+    x2 = x * x
+    k = 0
+    while True:
+        term = p // (2 * k + 1)
+        if not term:
+            return total
+        total += -term if k % 2 else term
+        p //= x2
+        k += 1
 
-    Equals the Kronecker symbol (delta/a).  The identity is applied for all
-    a, not only gcd(a, delta) = 1: for a fundamental discriminant the
-    attached character is primitive, so both sides vanish together when a
-    shares a factor with delta (enforced against gauss_sum_numeric in tests).
-    """
-    return kronecker(delta, a)
+
+def _fp_pi(scale: int) -> int:
+    """pi * scale via Machin's formula, with guard digits."""
+    guard = 10 ** 10
+    v = 16 * _fp_arctan_inv(5, scale * guard) - 4 * _fp_arctan_inv(239, scale * guard)
+    return v // guard
 
 
-def gauss_sum_numeric(a: int, delta: int) -> complex:
-    """Gauss sum G(a, delta) = sum_{s mod delta} (delta/s) e(a*s/delta),
-    summed directly with complex exponentials.
+def _fp_sincos(num: int, den: int, scale: int, pi_fp: int) -> tuple:
+    """(sin, cos) of 2*pi*num/den (0 <= num < den) as scale-scaled integers."""
+    guard = 10 ** 10
+    s2 = scale * guard
+    x = 2 * pi_fp * guard * num // den
+    sin_t = cos_t = 0
+    term = s2
+    k = 0
+    while term:
+        r = k % 4
+        if r == 0:
+            cos_t += term
+        elif r == 1:
+            sin_t += term
+        elif r == 2:
+            cos_t -= term
+        else:
+            sin_t -= term
+        term = term * x // s2 // (k + 1)
+        k += 1
+    return sin_t // guard, cos_t // guard
 
-    Independent numeric oracle for gauss_sum_ratio and for the expansion of
-    the twisted logarithmic derivative; e(x) = cos(2 pi x) + i sin(2 pi x).
+
+def _fp_gauss_table(delta: int, scale: int) -> list:
+    """G(a, delta) = sum_{s mod |delta|} (delta/s) e(a*s/delta) for
+    a = 0..|delta|-1, as scale-scaled integer (real, imag) pairs.
+
+    The exponentials are evaluated from first principles in fixed-point
+    arithmetic at the caller's scale (pi by Machin's formula, Taylor
+    sin/cos); e(a*s/delta) has angle 2*pi*((sign(delta)*a*s) mod |delta|)/|delta|.
     """
     if delta == 0:
         raise ValueError("delta must be nonzero")
-    total = 0j
-    for s in range(abs(delta)):
-        chi = kronecker(delta, s)
-        if chi:
-            x = a * s / delta
-            total += chi * complex(cos(2 * pi * x), sin(2 * pi * x))
-    return total
+    ad = abs(delta)
+    sign = 1 if delta > 0 else -1
+    pi_fp = _fp_pi(scale)
+    unit = [_fp_sincos(t, ad, scale, pi_fp) for t in range(ad)]
+    chi = [kronecker(delta, s) for s in range(ad)]
+    table = []
+    for a in range(ad):
+        re = im = 0
+        for s in range(ad):
+            if chi[s]:
+                sn, cs = unit[sign * a * s % ad]
+                re += chi[s] * cs
+                im += chi[s] * sn
+        table.append((re, im))
+    return table
+
+
+def gauss_sum_numeric(a: int, delta: int) -> complex:
+    """G(a, delta) as a complex number, from _fp_gauss_table at 30 digits
+    (borcherds.phi_raw_numeric reads the same table at a higher precision).
+
+    For a fundamental discriminant delta, G(a, delta) = (delta/a) G(1, delta)
+    for every a (both sides vanish when a shares a factor with delta)."""
+    scale = 10 ** 30
+    re, im = _fp_gauss_table(delta, scale)[a % abs(delta)]
+    return complex(re / scale, im / scale)
 
 
 __all__ = [
@@ -219,7 +274,6 @@ __all__ = [
     "divisors",
     "factorize",
     "gauss_sum_numeric",
-    "gauss_sum_ratio",
     "gcd",
     "is_fundamental_discriminant",
     "is_prime",

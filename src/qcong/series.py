@@ -1,10 +1,10 @@
 """Truncated power series over exact integers or integers mod m.
 
 Coefficient arrays are dense Python ints; index n holds the q^n
-coefficient.  A series may carry a fractional exponent offset t/24
-(0 <= t < 24) for eta-type prefactors.  The heavy kernels are the
-binomial-inverse recurrence passes, which run as C-level cumulative
-sums over residue lanes.
+coefficient.  A series has no fractional exponent: eta_product returns its
+offset in 24ths beside the series, and the expression evaluator (qexpr) is
+what tracks such offsets.  The heavy kernels are the binomial-inverse
+recurrence passes, which run as C-level cumulative sums over residue lanes.
 """
 
 from fractions import Fraction
@@ -19,14 +19,10 @@ class RingMismatch(ValueError):
 
 
 class ExponentMismatch(ValueError):
-    pass
+    """Summands whose exponent offsets differ by a fraction (see qexpr)."""
 
 
 class NonUnitConstantTerm(ValueError):
-    pass
-
-
-class FractionalExponent(ValueError):
     pass
 
 
@@ -118,15 +114,12 @@ def _convolve(a: list, b: list, out_len: int, modulus: int) -> list:
 class Series:
     """Immutable truncated q-expansion over a Ring.
 
-    prec P means coefficients of q^0 .. q^(P-1) are known.  frac24 is the
-    numerator t of the fractional exponent offset t/24.
+    prec P means coefficients of q^0 .. q^(P-1) are known.
     """
 
-    __slots__ = ("ring", "coeffs", "frac24")
+    __slots__ = ("ring", "coeffs")
 
-    def __init__(self, ring: Ring, coeffs, prec: int = None, frac24: int = 0):
-        if not 0 <= frac24 < 24:
-            raise ValueError("frac24 must lie in [0, 24)")
+    def __init__(self, ring: Ring, coeffs, prec: int = None):
         coeffs = list(coeffs)
         if prec is not None:
             if prec < 1:
@@ -142,15 +135,10 @@ class Series:
             coeffs = [c % m for c in coeffs]
         self.ring = ring
         self.coeffs = coeffs
-        self.frac24 = frac24
 
     @property
     def prec(self) -> int:
         return len(self.coeffs)
-
-    @property
-    def frac_exp(self) -> Fraction:
-        return Fraction(self.frac24, 24)
 
     @classmethod
     def zero(cls, ring: Ring, prec: int) -> "Series":
@@ -178,36 +166,27 @@ class Series:
         return (
             isinstance(other, Series)
             and self.ring == other.ring
-            and self.frac24 == other.frac24
             and self.coeffs == other.coeffs
         )
 
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:6])
         tail = ", ..." if self.prec > 6 else ""
-        off = f", frac=q^{self.frac24}/24" if self.frac24 else ""
-        return f"Series([{head}{tail}], prec={self.prec}, {self.ring}{off})"
+        return f"Series([{head}{tail}], prec={self.prec}, {self.ring})"
 
     def _join(self, other: "Series"):
         if self.ring != other.ring:
             raise RingMismatch(f"{self.ring} vs {other.ring}")
 
-    def _join_exp(self, other: "Series"):
-        if self.frac24 != other.frac24:
-            raise ExponentMismatch(
-                f"fractional offsets differ: {self.frac24}/24 vs {other.frac24}/24"
-            )
-
     def add(self, other: "Series") -> "Series":
         self._join(other)
-        self._join_exp(other)
         P = min(self.prec, other.prec)
         m = self.ring.modulus
         if m:
             c = [(x + y) % m for x, y in zip(self.coeffs, other.coeffs)]
         else:
             c = [x + y for x, y in zip(self.coeffs, other.coeffs)]
-        return Series(self.ring, c[:P], frac24=self.frac24)
+        return Series(self.ring, c[:P])
 
     def sub(self, other: "Series") -> "Series":
         return self.add(other.neg())
@@ -215,7 +194,7 @@ class Series:
     def neg(self) -> "Series":
         m = self.ring.modulus
         c = [(-x) % m for x in self.coeffs] if m else [-x for x in self.coeffs]
-        return Series(self.ring, c, frac24=self.frac24)
+        return Series(self.ring, c)
 
     def scale(self, factor: int) -> "Series":
         m = self.ring.modulus
@@ -224,17 +203,14 @@ class Series:
             c = [x * factor % m for x in self.coeffs]
         else:
             c = [x * factor for x in self.coeffs]
-        return Series(self.ring, c, frac24=self.frac24)
+        return Series(self.ring, c)
 
     def mul(self, other: "Series") -> "Series":
-        """Truncated Cauchy product; fractional offsets add with carry into
-        an integer q-shift, so the result precision grows by the carry."""
+        """Truncated Cauchy product, to the smaller of the two precisions."""
         self._join(other)
         P = min(self.prec, other.prec)
-        total = self.frac24 + other.frac24
-        carry, frac = divmod(total, 24)
         conv = _convolve(self.coeffs, other.coeffs, P, self.ring.modulus)
-        return Series(self.ring, [0] * carry + conv, frac24=frac)
+        return Series(self.ring, conv)
 
     def pow(self, n: int) -> "Series":
         if n < 0:
@@ -251,8 +227,6 @@ class Series:
     def invert(self) -> "Series":
         """Multiplicative inverse to the same precision; the constant term
         must be a unit of the ring."""
-        if self.frac24:
-            raise FractionalExponent("cannot invert a series with fractional offset")
         a = self.coeffs
         try:
             c0inv = self.ring.inverse(a[0])
@@ -273,12 +247,10 @@ class Series:
         """self * (1 - sign*q^step)^(-exponent) via the O(P) recurrence."""
         c = list(self.coeffs)
         binomial_inverse_inplace(c, step, sign, exponent, self.ring.modulus)
-        return Series(self.ring, c, frac24=self.frac24)
+        return Series(self.ring, c)
 
     def q_derivative(self) -> "Series":
         """Apply q d/dq: coefficient n becomes n*a(n)."""
-        if self.frac24:
-            raise FractionalExponent("q d/dq needs an integral exponent lattice")
         m = self.ring.modulus
         if m:
             c = [n * x % m for n, x in enumerate(self.coeffs)]
@@ -294,23 +266,23 @@ class Series:
         """Coefficientwise reduction of an exact series into Z/m."""
         if self.ring.modulus:
             raise RingMismatch("reduce_mod expects an exact-ring series")
-        return Series(Ring(modulus), self.coeffs, frac24=self.frac24)
+        return Series(Ring(modulus), self.coeffs)
 
     def shifted(self, s: int) -> "Series":
         """Multiply by q^s.  Positive s prepends zeros (precision grows);
         negative s drops leading coefficients, which must be zero."""
         if s >= 0:
-            return Series(self.ring, [0] * s + self.coeffs, frac24=self.frac24)
+            return Series(self.ring, [0] * s + self.coeffs)
         if any(self.coeffs[: -s]):
             raise ValueError("negative shift would drop nonzero coefficients")
         if self.prec + s < 1:
             raise ValueError("negative shift exhausts the precision")
-        return Series(self.ring, self.coeffs[-s:], frac24=self.frac24)
+        return Series(self.ring, self.coeffs[-s:])
 
     def truncate(self, prec: int) -> "Series":
         if prec > self.prec:
             raise ValueError("cannot truncate to higher precision")
-        return Series(self.ring, self.coeffs[:prec], frac24=self.frac24)
+        return Series(self.ring, self.coeffs[:prec])
 
     __add__ = add
     __sub__ = sub
@@ -341,16 +313,16 @@ def pentagonal_coefficients(scale: int, length: int) -> list:
     return c
 
 
-def eta_product(scale: int, prec: int, ring: Ring) -> Series:
-    """q^(scale/24) * prod (1 - q^(scale*n)) truncated to prec.
+def eta_product(scale: int, prec: int, ring: Ring) -> tuple:
+    """q^(scale/24) * prod (1 - q^(scale*n)) truncated to prec, as the pair
+    (series, scale % 24).
 
-    The fractional part of scale/24 becomes the series offset; the integer
-    part is applied as a shift of the coefficient array.
+    The integer part of scale/24 is applied as a shift of the coefficient
+    array; the remaining offset, in 24ths, is returned beside the series.
     """
     shift, frac = divmod(scale, 24)
     pent = pentagonal_coefficients(scale, max(prec - shift, 1))
-    coeffs = [0] * shift + pent
-    return Series(ring, coeffs, prec=prec, frac24=frac)
+    return Series(ring, [0] * shift + pent, prec=prec), frac
 
 
 _BERNOULLI_CACHE = [Fraction(1), Fraction(-1, 2)]
@@ -406,7 +378,6 @@ def eisenstein(k: int, prec: int, ring: Ring) -> Series:
 __all__ = [
     "EXACT",
     "ExponentMismatch",
-    "FractionalExponent",
     "NonIntegralNormalization",
     "NonUnitConstantTerm",
     "Ring",

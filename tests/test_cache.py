@@ -1,3 +1,4 @@
+import json
 import struct
 
 import pytest
@@ -177,6 +178,21 @@ def test_corruption_detection(tmp_path, write_legacy_text):
     binary.write_bytes(head2 + b"\nWRONG" + b"\x00" * 20)
     with pytest.raises(CacheError):
         load_coeffs(binary)
+
+    # header prec and modulus must be integers; find_coeffs raises on a
+    # matching file whose prec is not, instead of skipping or comparing it
+    for field, value in (("prec", "2"), ("prec", 2.0), ("prec", None),
+                         ("modulus", "23"), ("modulus", 23.0), ("modulus", None)):
+        header = json.loads(head)
+        header[field] = value
+        if value is None:
+            del header[field]
+        path.write_bytes(json.dumps(header).encode() + b"\n[0,1,22]\n")
+        with pytest.raises(CacheError):
+            load_coeffs(path)
+        if field == "prec":
+            with pytest.raises(CacheError):
+                find_coeffs(tmp_path, "omega", 23, min_prec=1)
 
 
 def test_find_coeffs_picks_deepest(tmp_path):

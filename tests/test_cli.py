@@ -139,7 +139,7 @@ def test_cold_certify_cache_files(capsys, tmp_path):
 def test_legacy_text_cache_is_read(capsys, tmp_path, write_legacy_text, name):
     # a mod-23 omega file in the older text encoding still serves every command
     cold_code, cold_out, _ = run(capsys, *WARM_COMMANDS[name])
-    values = omega_coeffs(600, Ring(23)).values
+    values = omega_coeffs(600, Ring(23))
     legacy = write_legacy_text(tmp_path, "omega", values, 23, 600)
     code, out, _ = run(capsys, *WARM_COMMANDS[name], "--cache-dir", str(tmp_path))
     assert code == cold_code == 0
@@ -204,6 +204,30 @@ def test_phi_cache_identical_stdout(capsys, tmp_path):
     assert any(p.name.startswith("phi_star") for p in tmp_path.glob("*.qser"))
     code2, out2, _ = run(capsys, *args)
     assert code2 == 0 and out2 == out1
+
+
+def test_warm_phi_decodes_once(capsys, tmp_path, monkeypatch):
+    # a warm phi reads its prec entries from a deeper file and writes nothing
+    argv = ("phi", "--delta", "-8", "--r", "4", "--modulus", "23")
+    cold_code, cold_out, _ = run(capsys, *argv, "--prec", "30")
+    assert run(capsys, *argv, "--prec", "60", "--cache-dir", str(tmp_path))[0] == 0
+    files = sorted(tmp_path.iterdir())
+    calls, decoded = [], []
+    for name in ("find_coeffs", "load_coeffs", "save_coeffs"):
+        original = getattr(cache, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            result = _original(*args, **kwargs)
+            if _name == "load_coeffs":
+                decoded.append(len(result[1]))
+            return result
+
+        monkeypatch.setattr(cache, name, counted)
+    code, out, _ = run(capsys, *argv, "--prec", "30", "--cache-dir", str(tmp_path))
+    assert calls == ["find_coeffs", "load_coeffs"] and decoded == [30]
+    assert sorted(tmp_path.iterdir()) == files
+    assert code == cold_code == 0 and out == cold_out
 
 
 def test_heckecheck_certified(capsys):
@@ -297,6 +321,8 @@ def test_eval_errors_exit_2(capsys):
     assert code == 2 and "NonIntegralExponent" in err
     code, _, err = run(capsys, "eval", "eta(q^0)", "--prec", "4")
     assert code == 2 and "ExprSyntaxError" in err
+    code, out, err = run(capsys, "eval", "eta(q) + 1", "--prec", "5")
+    assert code == 2 and out == "" and "ExponentMismatch" in err
 
 
 def test_scan(capsys):
@@ -341,18 +367,22 @@ def test_env_cache_dir(capsys, tmp_path, monkeypatch):
     assert list(tmp_path.glob("f_*.qser"))
 
 
-def test_binary_cache_round_trip(capsys, tmp_path):
-    code, out1, _ = run(capsys, "coeffs", "--function", "omega", "--upto", "30",
-                        "--modulus", "23", "--cache-dir", str(tmp_path),
-                        "--binary-cache")
-    assert code == 0
-    path = next(tmp_path.glob("omega_*.qser"))
-    header, values = cache.load_coeffs(path)
-    assert header["encoding"] == "binary"
-    assert len(values) == 31
-    code, out2, _ = run(capsys, "coeffs", "--function", "omega", "--upto", "30",
-                        "--modulus", "23", "--cache-dir", str(tmp_path))
-    assert out2 == out1
+def test_binary_cache_flag_is_unknown(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["coeffs", "--function", "omega", "--upto", "30", "--modulus", "23",
+              "--cache-dir", str(tmp_path), "--binary-cache"])
+    assert exc.value.code == 2
+    assert "--binary-cache" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_coeffs_cache_bad_header_exit_3(capsys, tmp_path, write_legacy_text):
+    # a matching file whose header prec is not an integer is a cache error
+    write_legacy_text(tmp_path, "omega", [1, 2, 3], 23, prec="5")
+    code, out, err = run(capsys, "coeffs", "--function", "omega", "--modulus", "23",
+                         "--upto", "3", "--cache-dir", str(tmp_path))
+    assert code == 3 and out == ""
+    assert err.startswith("cache error:") and len(err.splitlines()) == 1
 
 
 BIG = 23 ** 15  # residues past a u64 word (2**64): the cache falls back to text
@@ -383,6 +413,16 @@ def test_modulus_above_u64_caches_as_text(capsys, tmp_path, name):
     else:
         assert out == cold_out
     assert code == cold_code == (5 if name == "heckecheck" else 0)  # 5: not eigen
+
+
+def test_phi_reads_prefix_of_deeper_text_file(capsys, tmp_path):
+    # a text file decodes whole, so phi must print only the entries asked for
+    argv = BIG_COMMANDS["phi"][:-4] + ("--modulus", str(BIG))
+    _, expect, _ = run(capsys, *argv, "--prec", "8")
+    assert run(capsys, *argv, "--prec", "20", "--cache-dir", str(tmp_path))[0] == 0
+    code, out, _ = run(capsys, *argv, "--prec", "8", "--cache-dir", str(tmp_path))
+    assert code == 0 and out == expect and len(out.splitlines()) == 8
+    assert [p.name for p in tmp_path.glob("*.qser")] == [f"phi_star_d-8_r4_mod{BIG}_p20.qser"]
 
 
 @pytest.mark.parametrize("command", [

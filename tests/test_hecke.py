@@ -39,8 +39,6 @@ def test_hecke_operator_constant_term():
 def test_hecke_operator_errors():
     with pytest.raises(InsufficientPrecision):
         hecke_operator(Series(EXACT, [1, 2]), 3, 2)
-    with pytest.raises(ValueError):
-        hecke_operator(Series(EXACT, [1], frac24=2, prec=10), 2, 2)
 
 
 def test_hecke_operator_linear():

@@ -103,30 +103,30 @@ def watson_omega(N, m=0):
 
 
 def test_omega_golden():
-    assert omega_coeffs(11).values == OMEGA_GOLDEN
+    assert omega_coeffs(11) == OMEGA_GOLDEN
 
 
 def test_omega_table_values():
     t = omega_coeffs(16)
-    assert t.values[16] == 101
-    assert t.which == "omega" and t.upto == 16 and len(t.values) == 17
+    assert t[16] == 101
+    assert len(t) == 17
 
 
 def test_f_golden():
     t = f_coeffs(16)
-    assert t.values == F_GOLDEN
-    assert t.values[0] == 1 and t.values[1] == 1
+    assert t == F_GOLDEN
+    assert t[0] == 1 and t[1] == 1
 
 
 def test_against_naive_oracle():
-    assert omega_coeffs(60).values == naive_omega(60)
-    assert f_coeffs(60).values == naive_f(60)
+    assert omega_coeffs(60) == naive_omega(60)
+    assert f_coeffs(60) == naive_f(60)
 
 
 @pytest.mark.parametrize("ring", [EXACT, Ring(23)], ids=["exact", "mod23"])
 def test_omega_against_watson_form(ring):
     N = 2000
-    assert omega_coeffs(N, ring).values == watson_omega(N, ring.modulus)
+    assert omega_coeffs(N, ring) == watson_omega(N, ring.modulus)
 
 
 @pytest.mark.parametrize("ring", [EXACT, Ring(23)], ids=["exact", "mod23"])
@@ -135,18 +135,18 @@ def test_builder_depth_boundaries(ring):
     # depths where the deepest summand changes: 2n(n+1) = 0, 4, 12, 24, ... for
     # omega and n^2 = 0, 1, 4, 9, ... for f.
     for builder in (omega_coeffs, f_coeffs):
-        full = builder(200, ring).values
+        full = builder(200, ring)
         for N in range(201):
-            assert builder(N, ring).values == full[: N + 1], (builder.__name__, N)
+            assert builder(N, ring) == full[: N + 1], (builder.__name__, N)
 
 
 @pytest.mark.parametrize("m", [5, 23])
 def test_modular_matches_exact(m):
-    exact = omega_coeffs(2000).values
-    modular = omega_coeffs(2000, Ring(m)).values
+    exact = omega_coeffs(2000)
+    modular = omega_coeffs(2000, Ring(m))
     assert modular == [v % m for v in exact]
-    exact_f = f_coeffs(500).values
-    assert f_coeffs(500, Ring(m)).values == [v % m for v in exact_f]
+    exact_f = f_coeffs(500)
+    assert f_coeffs(500, Ring(m)) == [v % m for v in exact_f]
 
 
 def test_c_plus_examples(tables_exact):
@@ -215,18 +215,16 @@ def test_required_depth():
     assert d23["f"] == (23 * 97 * 97 + 1) // 24
 
 
-def test_tables_growth_and_preload():
+def test_tables_growth():
     t = MockTables(Ring(23))
+    assert t.source == {"f": None, "omega": None}
     assert t.a_omega(16) == 101 % 23
     assert t.depth("omega") == 16
+    assert t.source == {"f": None, "omega": "built"}
     t.ensure("omega", 10)  # no shrink
     assert t.depth("omega") == 16
-    t2 = MockTables(Ring(23))
-    t2.preload("omega", omega_coeffs(30, Ring(23)).values)
-    assert t2.depth("omega") == 30
-    assert t2.source == {"f": None, "omega": "loaded"}
-    with pytest.raises(ValueError):
-        t2.preload("nope", [1])
+    t.ensure("omega", 30)  # growth rebuilds to the new depth
+    assert t.values("omega") == omega_coeffs(30, Ring(23))
 
 
 def test_store_loads_or_builds_once(tmp_path, monkeypatch):
@@ -246,7 +244,7 @@ def test_store_loads_or_builds_once(tmp_path, monkeypatch):
     ring = Ring(23)
     cold = MockTables(ring, tmp_path)
     assert cold.source == {"f": None, "omega": None}
-    assert cold.a_omega(40) == omega_coeffs(40, ring).values[40]
+    assert cold.a_omega(40) == omega_coeffs(40, ring)[40]
     cold.ensure("omega", 30)
     assert calls == ["find_coeffs", "save_coeffs"]
     assert cold.source["omega"] == "built"

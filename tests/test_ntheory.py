@@ -7,7 +7,6 @@ from qcong.ntheory import (
     NotInvertible,
     divisors,
     gauss_sum_numeric,
-    gauss_sum_ratio,
     is_fundamental_discriminant,
     kronecker,
     mod_inverse,
@@ -134,9 +133,11 @@ def test_splitting_type():
 
 
 def test_gauss_sum_ratio_values():
-    assert gauss_sum_ratio(3, -8) == 1
-    assert gauss_sum_ratio(5, -8) == -1
-    assert gauss_sum_ratio(2, -8) == 0
+    # G(a, delta) / G(1, delta) is the Kronecker symbol (delta/a)
+    g1 = gauss_sum_numeric(1, -8)
+    for a, ratio in ((3, 1), (5, -1), (2, 0)):
+        assert abs(gauss_sum_numeric(a, -8) / g1 - ratio) < 1e-9
+        assert kronecker(-8, a) == ratio
 
 
 def test_gauss_sum_numeric_table():
@@ -156,9 +157,13 @@ def test_gauss_sum_numeric_table():
 
 
 def test_gauss_ratio_identity_all_a():
-    for delta in (-8, -23):
+    # G(a, delta) = (delta/a) G(1, delta), for either sign of delta
+    for delta in (-8, -23, 5, 8, 12, 13):
         g1 = gauss_sum_numeric(1, delta)
-        for a in range(1, 201):
+        # e(s/delta) is the conjugate of e(s/|delta|) when delta < 0
+        root = cmath.sqrt(delta)
+        assert abs(g1 - (root if delta > 0 else -root)) < 1e-9, delta
+        for a in range(0, 201):
             lhs = gauss_sum_numeric(a, delta)
-            rhs = gauss_sum_ratio(a, delta) * g1
+            rhs = kronecker(delta, a) * g1
             assert abs(lhs - rhs) < 1e-6, (a, delta)

@@ -20,7 +20,7 @@ from qcong.qexpr import (
     parse,
     print_expr,
 )
-from qcong.series import EXACT, Ring, eta_product
+from qcong.series import EXACT, ExponentMismatch, Ring, eta_product
 
 
 def test_parse_examples():
@@ -114,13 +114,15 @@ def test_evaluate_examples():
     assert evaluate(parse("E4(q)"), 3).coeffs == [1, 240, 2160]
     with pytest.raises(NonIntegralExponent):
         evaluate(parse("eta(q)^2"), 8)
+    with pytest.raises(ExponentMismatch):  # summands at q^(1/24) and q^0
+        evaluate(parse("eta(q) + 1"), 5)
 
 
 def test_evaluate_matches_eta_product():
     # eta(q^24) has integral exponent: shift 1 and the scale-24 product
     got = evaluate(parse("eta(q^24)"), 30)
-    expect = eta_product(24, 30, EXACT)
-    assert got.coeffs == expect.coeffs and expect.frac24 == 0
+    expect, offset = eta_product(24, 30, EXACT)
+    assert got.coeffs == expect.coeffs and offset == 0
 
 
 def test_evaluate_eta_quotients():

@@ -6,8 +6,6 @@ import pytest
 from qcong.ntheory import NotInvertible
 from qcong.series import (
     EXACT,
-    ExponentMismatch,
-    FractionalExponent,
     NonIntegralNormalization,
     NonUnitConstantTerm,
     Ring,
@@ -66,8 +64,6 @@ def test_add_sub_neg_scale():
 def test_add_mismatches():
     with pytest.raises(RingMismatch):
         Series(EXACT, [1]).add(Series(MOD23, [1]))
-    with pytest.raises(ExponentMismatch):
-        Series(EXACT, [1], frac24=1).add(Series(EXACT, [1]))
 
 
 def test_mul():
@@ -79,14 +75,6 @@ def test_mul():
     assert g.mul(one.mul(g).truncate(4)).prec == 4
     assert g.mul(g).coeffs == [1, 2, 3, 4, 5]
     assert a.mul(one).coeffs == a.coeffs
-
-
-def test_mul_fractional_carry():
-    # q^(12/24) * q^(12/24) = q: the carry lands in the coefficient shift
-    a = Series(EXACT, [1, 5], frac24=12)
-    prod = a.mul(a)
-    assert prod.frac24 == 0
-    assert prod.coeffs == [0, 1, 10]  # q * (1 + 10q + ...), prec grew by carry
 
 
 def test_invert():
@@ -141,8 +129,6 @@ def test_q_derivative():
     assert g.q_derivative().coeffs == [0, 1, 2, 3, 4]
     assert Series.constant(EXACT, 7, 4).q_derivative().coeffs == [0] * 4
     assert Series.monomial(EXACT, 3, 5).q_derivative().coeffs == [0, 0, 0, 3, 0]
-    with pytest.raises(FractionalExponent):
-        Series(EXACT, [1], frac24=3).q_derivative()
 
 
 def test_log_derivative():
@@ -161,17 +147,18 @@ def test_log_derivative():
 
 
 def test_eta_product():
-    e = eta_product(1, 13, EXACT)
+    # (series, t): the integer part of scale/24 is a shift, t/24 is left over
+    e, off = eta_product(1, 13, EXACT)
     assert e.coeffs == [1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1]
-    assert e.frac24 == 1
-    assert e.frac_exp == Fraction(1, 24)
-    e24 = eta_product(24, 30, EXACT)
-    assert e24.frac24 == 0
+    assert off == 1
+    e24, off24 = eta_product(24, 30, EXACT)
+    assert off24 == 0
     assert e24.coeffs[0] == 0 and e24.coeffs[1] == 1  # shift 1 applied
     assert e24.coeffs[25] == -1
-    e25 = eta_product(25, 30, EXACT)
-    assert e25.frac24 == 1
+    e25, off25 = eta_product(25, 30, EXACT)
+    assert off25 == 1
     assert e25.coeffs[1] == 1
+    assert e25.prec == 30
 
 
 def test_pentagonal_sparsity():
