@@ -14,9 +14,7 @@ from .ntheory import (
     kronecker,
     mod_inverse,
     moebius,
-    sigma,
     splitting_type,
-    valuation,
 )
 from .series import (
     EXACT,
@@ -31,11 +29,11 @@ from .series import (
     eta_product,
 )
 from .mocktheta import (
-    CPlusQuery,
     IndexNotIntegral,
     MockTables,
     c_plus,
     c_series,
+    cplus_entry,
     f_coeffs,
     omega_coeffs,
     required_depth,

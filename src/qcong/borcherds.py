@@ -5,14 +5,7 @@ complex-numeric oracle for the raw expansion, and congruence predictors."""
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .mocktheta import (
-    CPLUS_DISPATCH,
-    CPlusQuery,
-    MockTables,
-    c_plus,
-    c_series,
-    cplus_index,
-)
+from .mocktheta import MockTables, c_plus, c_series, cplus_entry
 from .ntheory import (
     _fp_gauss_table,
     divisors,
@@ -98,7 +91,7 @@ def c_from_b(b: list, n: int, delta: int, c1: int, ring: Ring) -> int:
 
 def exact_c1(params: TwistParams) -> int:
     """The exact normalizer c(1), from a depth-1 exact table."""
-    return c_plus(CPlusQuery(params.delta, params.r, 1), MockTables(EXACT))
+    return c_plus(params.delta, params.r, 1, MockTables(EXACT))
 
 
 def phi_star(params: TwistParams, upto: int, ring: Ring,
@@ -115,24 +108,6 @@ def phi_star(params: TwistParams, upto: int, ring: Ring,
     return PhiStar(params, Series(ring, b), c1)
 
 
-@dataclass
-class ComplexApprox:
-    """A complex value carried as exact rationals (fixed-point guts).
-
-    The coefficients of the raw expansion reach hundreds of digits, far past
-    what a float can hold, so the oracle keeps its numerics in scaled-integer
-    arithmetic and hands back the result undamaged."""
-
-    real: Fraction
-    imag: Fraction
-
-    def __complex__(self) -> complex:
-        return complex(float(self.real), float(self.imag))
-
-    def __repr__(self):
-        return f"ComplexApprox({float(self.real):.6g}, {float(self.imag):.6g}j)"
-
-
 def phi_raw_numeric(params: TwistParams, upto: int,
                     tables: MockTables = None) -> list:
     """Numeric oracle for the raw q-expansion
@@ -144,8 +119,10 @@ def phi_raw_numeric(params: TwistParams, upto: int,
 
     The Gauss sums come from the fixed-point summation behind
     ntheory.gauss_sum_numeric, at a precision chosen from the size of the
-    exact c-values, so the returned ComplexApprox values round to the exact
-    coefficients; imaginary parts must vanish to the working tolerance."""
+    exact c-values.  Each entry is a (real, imag) pair of Fractions carrying
+    that fixed-point value undamaged (the coefficients reach hundreds of
+    digits, past what a float holds): the real part rounds to the exact
+    coefficient and the imaginary part vanishes to the working tolerance."""
     if tables is not None and tables.ring != EXACT:
         raise ValueError("the numeric oracle needs exact tables")
     delta = params.delta
@@ -159,7 +136,7 @@ def phi_raw_numeric(params: TwistParams, upto: int,
     nr = -c[1] * gauss[1][0]
     ni = -c[1] * gauss[1][1]
     denom = nr * nr + ni * ni
-    out = [ComplexApprox(Fraction(0), Fraction(0))] * (upto + 1)
+    out = [(Fraction(0), Fraction(0))] * (upto + 1)
     ad = abs(delta)
     for n in range(1, upto + 1):
         a = b = 0
@@ -170,7 +147,7 @@ def phi_raw_numeric(params: TwistParams, upto: int,
                 b += c[d] * (-d) * gim
         real_fp = (a * nr + b * ni) * scale // denom
         imag_fp = (b * nr - a * ni) * scale // denom
-        out[n] = ComplexApprox(Fraction(real_fp, scale), Fraction(imag_fp, scale))
+        out[n] = (Fraction(real_fp, scale), Fraction(imag_fp, scale))
     return out
 
 
@@ -178,7 +155,7 @@ def phi_raw_numeric(params: TwistParams, upto: int,
 class EigenData:
     """Eigenvalue data for one prime: rules out b(p^j) mod ell^R.
 
-    setting must provide ell, R and the weight k (see hecke.CongruenceSetting).
+    setting provides ell, modulus = ell^R and the weight k (hecke.CongruenceSetting).
     For lambda = 0 the recursion collapses to b(p^(2m+1)) = 0 and
     b(p^(2m)) = (-p^(k-1))^m.
     """
@@ -188,12 +165,8 @@ class EigenData:
     lam: int
     _powers: list = field(default_factory=list, repr=False)
 
-    @property
-    def modulus(self) -> int:
-        return self.setting.ell ** self.setting.R
-
     def b_power(self, j: int) -> int:
-        m = self.modulus
+        m = self.setting.modulus
         if not self._powers:
             self._powers.extend([1 % m, self.lam % m])
         pk1 = pow(self.p, self.setting.k - 1, m)
@@ -203,62 +176,47 @@ class EigenData:
         return self._powers[j]
 
 
-def _eigen_map(eigens) -> dict:
-    if isinstance(eigens, EigenData):
-        return {eigens.p: eigens}
-    if isinstance(eigens, dict):
-        return eigens
-    return {e.p: e for e in eigens}
+def predict_c(n: int, eigen: EigenData, params: TwistParams, c1: int) -> int:
+    """Predicted residue of c(n) mod ell^R from eigenvalue data at p = eigen.p:
 
+        c(n) = (c(1)/n) * ( b(p^v) - b(p^(v-1)) (delta/p) )
 
-def predict_c(n: int, eigens, params: TwistParams, c1: int) -> int:
-    """Predicted residue of c(n) mod ell^R from eigenvalue data:
-
-        c(n) = (c(1)/n) * prod_{p|n} ( b(p^v) - b(p^(v-1)) (delta/p) )
-
-    with v = v_p(n).  Every prime of n must carry eigen data, and n must be
-    coprime to 6*ell."""
-    by_p = _eigen_map(eigens)
-    if not by_p:
-        raise UncoveredPrime("no eigenvalue data supplied")
-    modulus = next(iter(by_p.values())).modulus
-    ell = next(iter(by_p.values())).setting.ell
+    for n = p^v.  n must be a power of eigen.p (n = 1 gives c(1)) and
+    coprime to 6*ell; any other prime of n raises UncoveredPrime."""
+    modulus = eigen.setting.modulus
+    ell = eigen.setting.ell
     if gcd(n, 6 * ell) != 1:
         raise ValueError(f"n = {n} must be coprime to 6*ell = {6 * ell}")
     result = c1 % modulus * mod_inverse(n, modulus) % modulus
     for p, v in factorize(n).items():
-        if p not in by_p:
+        if p != eigen.p:
             raise UncoveredPrime(f"no eigenvalue data for prime {p}")
-        e = by_p[p]
-        term = (e.b_power(v) - e.b_power(v - 1) * kronecker(params.delta, p)) % modulus
+        term = (eigen.b_power(v)
+                - eigen.b_power(v - 1) * kronecker(params.delta, p)) % modulus
         result = result * term % modulus
     return result
 
 
 def predict_coefficient(params: TwistParams, p: int, M: int,
-                        eigen: EigenData, c1: int = None) -> tuple:
+                        eigen: EigenData) -> tuple:
     """(kind, table index, predicted residue) for the mock theta coefficient
-    addressed by c(p^M), inverting the dictionary sign and -4 factor."""
+    addressed by c(p^M): predict_c divided by the dictionary factor."""
     if M < 1:
         raise ValueError("M must be >= 1")
     d = p ** M
-    if c1 is None:
-        c1 = exact_c1(params)
-    kind, sign = CPLUS_DISPATCH[(params.r * d) % 12]
-    if kind == "zero":
+    entry = cplus_entry(params.delta, params.r, d)
+    if entry is None:
         raise ValueError(f"c({d}) vanishes identically; nothing to predict")
-    idx = cplus_index(params.delta, d, kind)
-    modulus = eigen.modulus
-    residue = sign * predict_c(d, eigen, params, c1) % modulus
-    if kind == "omega":
-        residue = residue * mod_inverse(-4, modulus) % modulus
-    return kind, idx, residue
+    kind, factor, idx = entry
+    modulus = eigen.setting.modulus
+    residue = predict_c(d, eigen, params, exact_c1(params))
+    return kind, idx, residue * mod_inverse(factor, modulus) % modulus
 
 
 def predict_omega(p: int, M: int, eigen: EigenData) -> tuple:
     """Predicted (index, residue) for a_omega(2(p^(2M) - 1)/3) mod ell^R,
     for the twist (delta, r) = (-8, 4)."""
-    _, idx, residue = predict_coefficient(TwistParams(-8, 4), p, M, eigen, c1=-4)
+    _, idx, residue = predict_coefficient(TwistParams(-8, 4), p, M, eigen)
     return idx, residue
 
 
@@ -267,12 +225,11 @@ def predict_f(p: int, M: int, eigen: EigenData) -> tuple:
     for the twist (delta, r) = (-23, 1)."""
     if p % 23 == 0:
         raise ValueError("p must not divide 23")
-    _, idx, residue = predict_coefficient(TwistParams(-23, 1), p, M, eigen, c1=1)
+    _, idx, residue = predict_coefficient(TwistParams(-23, 1), p, M, eigen)
     return idx, residue
 
 
 __all__ = [
-    "ComplexApprox",
     "EigenData",
     "NonDivisible",
     "PhiStar",

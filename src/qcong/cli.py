@@ -20,7 +20,7 @@ from .borcherds import (
     phi_star,
     predict_coefficient,
 )
-from .hecke import CongruenceSetting, density_scan, eigencheck, sturm_bound
+from .hecke import LEVEL, CongruenceSetting, density_scan, eigencheck, sturm_bound
 from .mocktheta import MockTables
 from .ntheory import NotInvertible
 from .qexpr import (
@@ -57,9 +57,6 @@ def _emit_json(obj):
 
 def cmd_coeffs(args) -> int:
     modulus = args.modulus or 0
-    if args.exact and modulus:
-        print("--exact and --modulus are mutually exclusive", file=sys.stderr)
-        return EXIT_USAGE
     tables = MockTables(_ring(modulus), _cache_dir(args))
     tables.ensure(args.function, args.upto)
     values = tables.values(args.function)[: args.upto + 1]
@@ -126,7 +123,7 @@ def cmd_certify(args) -> int:
         params = TwistParams(args.delta, args.r)
         setting = CongruenceSetting(args.ell, args.R, args.B)
         if prec is None:
-            prec = sturm_bound(setting.k, 6)
+            prec = sturm_bound(setting.k, LEVEL)
         eigen = EigenData(setting, args.p, args.lam)
         predictions = [
             (M,) + predict_coefficient(params, args.p, M, eigen) for M in args.M
@@ -236,8 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--function", choices=("f", "omega"), required=True)
     c.add_argument("--upto", type=int, required=True)
     c.add_argument("--modulus", type=int, default=0)
-    c.add_argument("--exact", action="store_true",
-                   help="exact integer arithmetic (the default)")
     _add_common(c)
     c.set_defaults(func=cmd_coeffs)
 

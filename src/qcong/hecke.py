@@ -10,6 +10,13 @@ from .ntheory import factorize, is_prime, primes_up_to, splitting_type
 from .series import Ring, Series
 
 
+# f and omega form one vector-valued harmonic Maass form for a lattice of
+# level 4*6 = 24 (Zwegers 2002; hence delta = r^2 mod 24), and its twisted
+# Borcherds products live on Gamma0(6) for every (delta, r) (Bruinier-Ono
+# 2010): the Sturm bound uses level 6 whatever the twist.
+LEVEL = 6
+
+
 class SmallPrime(ValueError):
     """The pole-clearing lift needs ell >= 5."""
 
@@ -68,14 +75,10 @@ class CongruenceSetting:
     ell: int
     R: int
     B: int
-    k: int = None
+    k: int = field(init=False)
 
     def __post_init__(self):
-        expected = hasse_weight(self.ell, self.B, self.R)
-        if self.k is None:
-            self.k = expected
-        elif self.k != expected:
-            raise ValueError(f"weight {self.k} != 2 + (ell-1)*B*R = {expected}")
+        self.k = hasse_weight(self.ell, self.B, self.R)
 
     @property
     def modulus(self) -> int:
@@ -159,7 +162,7 @@ def eigencheck(params: TwistParams, setting: CongruenceSetting, p: int,
             first = n
             break
     certified = first is None
-    sturm = sturm_bound(setting.k, 6)
+    sturm = sturm_bound(setting.k, LEVEL)
     return HeckeCheckReport(
         delta=params.delta, r=params.r, ell=setting.ell, R=setting.R,
         B=setting.B, k=setting.k, p=p, lam=lam,
@@ -252,6 +255,7 @@ def _modulus_prime(m: int) -> int:
 
 
 __all__ = [
+    "LEVEL",
     "CongruenceSetting",
     "HeckeCheckReport",
     "InsufficientPrecision",

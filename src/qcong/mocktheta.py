@@ -1,7 +1,6 @@
 """Coefficient streams for the mock theta functions f and omega, and the
-dictionary mapping twisted index pairs to signed f/omega coefficients."""
-
-from dataclasses import dataclass
+dictionary mapping twisted index pairs to signed f/omega coefficients,
+which only `cplus_entry` reads: every other caller goes through it."""
 
 from . import cache
 from .series import EXACT, Ring, binomial_inverse_inplace
@@ -73,7 +72,7 @@ class MockTables:
     file covering `upto` (a binary file only through index `upto`), else a
     build that is then saved.  Growing reads or rebuilds again, so callers
     should ensure the maximum depth up front.  `source[which]` is "loaded",
-    "built" or None (not yet needed).
+    "built" or None (not yet needed).  A negative `upto` is a ValueError.
     """
 
     def __init__(self, ring: Ring = EXACT, cache_dir=None):
@@ -83,6 +82,8 @@ class MockTables:
         self.source = {"f": None, "omega": None}
 
     def ensure(self, which: str, upto: int):
+        if upto < 0:
+            raise ValueError(f"table index {upto} must be nonnegative")
         if len(self._tables[which]) > upto:
             return self
         self._tables[which], self.source[which] = cache.load_or_build(
@@ -96,27 +97,6 @@ class MockTables:
     def depth(self, which: str) -> int:
         return len(self._tables[which]) - 1
 
-    def a_f(self, n: int) -> int:
-        self.ensure("f", n)
-        return self._tables["f"][n]
-
-    def a_omega(self, n: int) -> int:
-        self.ensure("omega", n)
-        return self._tables["omega"][n]
-
-
-@dataclass
-class CPlusQuery:
-    delta: int
-    r: int
-    d: int
-
-    def __post_init__(self):
-        if (self.r * self.r - self.delta) % 24 != 0:
-            raise ValueError(f"need delta = r^2 (mod 24), got ({self.delta}, {self.r})")
-        if self.d < 1:
-            raise ValueError("d must be positive")
-
 
 # key = r*d mod 12 -> (kind, sign).  Keys 0 mod 3 vanish; odd keys read off
 # a_f with sign pattern +,-,+,- on 1,5,7,11; even keys read off -4*a_omega
@@ -129,48 +109,51 @@ CPLUS_DISPATCH = {
 }
 
 
-def cplus_index(delta: int, d: int, kind: str) -> int:
-    """The f/omega table index addressed by the dictionary at divisor d."""
+def cplus_entry(delta: int, r: int, d: int):
+    """The dictionary entry behind c(d) = c^+(|delta| d^2 / 24, r d / 12):
+    (kind, factor, index) with c(d) = factor * a_kind(index), or None where
+    c(d) vanishes.  The factor is +-1 for f and the folded -+4 for omega;
+    f indices are (|delta| d^2 + 1)/24, omega indices (|delta| d^2 - 8)/12.
+    Needs delta = r^2 (mod 24), which forces the asserted omega parity, and d >= 1."""
+    if (r * r - delta) % 24 != 0:
+        raise ValueError(f"need delta = r^2 (mod 24), got ({delta}, {r})")
+    if d < 1:
+        raise ValueError("d must be positive")
+    key = (r * d) % 12
+    kind, sign = CPLUS_DISPATCH[key]
+    if kind == "zero":
+        return None
     ad2 = abs(delta) * d * d
-    if kind == "f":
-        num, den = ad2 + 1, 24
-    else:
-        num, den = ad2 - 8, 12
+    num, den = (ad2 + 1, 24) if kind == "f" else (ad2 - 8, 12)
     if num % den or num < 0:
         raise IndexNotIntegral(
             f"index ({num})/{den} for {kind} at delta={delta}, d={d}"
         )
-    return num // den
-
-
-def c_plus(query: CPlusQuery, tables: MockTables) -> int:
-    """Coefficient c(d) = c^+(|delta| d^2 / 24, r d / 12) of the holomorphic
-    part, dispatched through the key = r*d mod 12 sign table.
-
-    Omega-type keys carry the folded factor -4; the parity of the omega
-    index is forced by delta = r^2 (mod 24) and is asserted defensively.
-    """
-    kind, sign = CPLUS_DISPATCH[(query.r * query.d) % 12]
-    if kind == "zero":
-        return 0
-    idx = cplus_index(query.delta, query.d, kind)
+    idx = num // den
     if kind == "f":
-        return tables.ring.normalize(sign * tables.a_f(idx))
-    key = (query.r * query.d) % 12
+        return kind, sign, idx
     assert idx % 2 == (1 if key in (2, 10) else 0), "omega index parity violated"
-    return tables.ring.normalize(-4 * sign * tables.a_omega(idx))
+    return kind, -4 * sign, idx
+
+
+def c_plus(delta: int, r: int, d: int, tables: MockTables) -> int:
+    """Coefficient c(d) of the holomorphic part, read off the f/omega tables
+    through cplus_entry."""
+    entry = cplus_entry(delta, r, d)
+    if entry is None:
+        return 0
+    kind, factor, idx = entry
+    return tables.ring.normalize(factor * tables.ensure(kind, idx).values(kind)[idx])
 
 
 def required_depth(delta: int, r: int, D: int) -> dict:
     """Deepest f/omega table indices needed for c(d), d <= D (0 if unused)."""
     out = {"f": 0, "omega": 0}
-    for kind in ("f", "omega"):
-        # The key pattern cycles mod 12, so 12 consecutive d suffice.
-        for d in range(D, max(D - 12, 0), -1):
-            k, _ = CPLUS_DISPATCH[(r * d) % 12]
-            if k == kind:
-                out[kind] = cplus_index(delta, d, kind)
-                break
+    # Keys cycle mod 12 and indices grow with d: the last 12 d suffice.
+    for d in range(max(D - 11, 1), D + 1):
+        entry = cplus_entry(delta, r, d)
+        if entry is not None:
+            out[entry[0]] = entry[2]
     return out
 
 
@@ -187,18 +170,17 @@ def c_series(delta: int, r: int, D: int, ring: Ring,
             tables.ensure(kind, depth)
     out = [0] * (D + 1)
     for d in range(1, D + 1):
-        out[d] = c_plus(CPlusQuery(delta, r, d), tables)
+        out[d] = c_plus(delta, r, d, tables)
     return out
 
 
 __all__ = [
-    "CPlusQuery",
     "CPLUS_DISPATCH",
     "IndexNotIntegral",
     "MockTables",
     "c_plus",
     "c_series",
-    "cplus_index",
+    "cplus_entry",
     "f_coeffs",
     "omega_coeffs",
     "required_depth",

@@ -1,7 +1,8 @@
-"""Number-theoretic primitives: Kronecker symbols, Moebius, valuations,
-divisor sums, modular inverses, fundamental discriminants, and the one
-numeric Gauss-sum oracle (fixed-point complex exponentials)."""
+"""Number-theoretic primitives: Kronecker symbols, factorizations, divisor
+lists, Moebius, primes, modular inverses, fundamental discriminants, and
+the one numeric Gauss-sum oracle (fixed-point complex exponentials)."""
 
+from functools import lru_cache
 from math import gcd
 
 
@@ -125,27 +126,6 @@ def moebius(n: int) -> int:
     return sign
 
 
-def valuation(n: int, p: int) -> int:
-    """Largest e with p^e dividing n (n >= 1, p prime)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
-
-
-def sigma(n: int, k: int, modulus: int = 0) -> int:
-    """Divisor power sum sum_{d|n} d^k, reduced mod m when modulus >= 2."""
-    if modulus:
-        total = 0
-        for d in divisors(n):
-            total += pow(d, k, modulus)
-        return total % modulus
-    return sum(d ** k for d in divisors(n))
-
-
 def mod_inverse(a: int, m: int) -> int:
     """Inverse of a modulo m >= 2; raises NotInvertible when gcd(a, m) > 1."""
     if m < 2:
@@ -231,13 +211,15 @@ def _fp_sincos(num: int, den: int, scale: int, pi_fp: int) -> tuple:
     return sin_t // guard, cos_t // guard
 
 
-def _fp_gauss_table(delta: int, scale: int) -> list:
+@lru_cache
+def _fp_gauss_table(delta: int, scale: int) -> tuple:
     """G(a, delta) = sum_{s mod |delta|} (delta/s) e(a*s/delta) for
     a = 0..|delta|-1, as scale-scaled integer (real, imag) pairs.
 
     The exponentials are evaluated from first principles in fixed-point
     arithmetic at the caller's scale (pi by Machin's formula, Taylor
     sin/cos); e(a*s/delta) has angle 2*pi*((sign(delta)*a*s) mod |delta|)/|delta|.
+    Memoised per (delta, scale), as a tuple so no caller can change it.
     """
     if delta == 0:
         raise ValueError("delta must be nonzero")
@@ -255,7 +237,7 @@ def _fp_gauss_table(delta: int, scale: int) -> list:
                 re += chi[s] * cs
                 im += chi[s] * sn
         table.append((re, im))
-    return table
+    return tuple(table)
 
 
 def gauss_sum_numeric(a: int, delta: int) -> complex:
@@ -281,7 +263,5 @@ __all__ = [
     "mod_inverse",
     "moebius",
     "primes_up_to",
-    "sigma",
     "splitting_type",
-    "valuation",
 ]

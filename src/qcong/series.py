@@ -141,10 +141,6 @@ class Series:
         return len(self.coeffs)
 
     @classmethod
-    def zero(cls, ring: Ring, prec: int) -> "Series":
-        return cls(ring, [], prec=prec)
-
-    @classmethod
     def one(cls, ring: Ring, prec: int) -> "Series":
         return cls(ring, [1], prec=prec)
 
@@ -242,25 +238,6 @@ class Series:
                 s += a[k] * b[n - k]
             b[n] = (-s * c0inv) % m if m else -s * c0inv
         return Series(self.ring, b)
-
-    def mul_binomial_inverse(self, step: int, sign: int, exponent: int) -> "Series":
-        """self * (1 - sign*q^step)^(-exponent) via the O(P) recurrence."""
-        c = list(self.coeffs)
-        binomial_inverse_inplace(c, step, sign, exponent, self.ring.modulus)
-        return Series(self.ring, c)
-
-    def q_derivative(self) -> "Series":
-        """Apply q d/dq: coefficient n becomes n*a(n)."""
-        m = self.ring.modulus
-        if m:
-            c = [n * x % m for n, x in enumerate(self.coeffs)]
-        else:
-            c = [n * x for n, x in enumerate(self.coeffs)]
-        return Series(self.ring, c)
-
-    def log_derivative(self) -> "Series":
-        """(q d/dq self) / self for unit-headed series."""
-        return self.q_derivative().mul(self.invert())
 
     def reduce_mod(self, modulus: int) -> "Series":
         """Coefficientwise reduction of an exact series into Z/m."""

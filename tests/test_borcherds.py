@@ -94,9 +94,10 @@ def test_phi_star_zero_normalizer(tables_exact, monkeypatch):
 def test_phi_raw_numeric_spot_values():
     params = TwistParams(-8, 4)
     vals = phi_raw_numeric(params, 3)
-    assert abs(complex(vals[1]) - 1) < 1e-6
-    assert abs(complex(vals[2]) - (-6)) < 1e-6
-    assert abs(complex(vals[3]) - 1) < 1e-6
+    for n, exact in ((1, 1), (2, -6), (3, 1)):
+        re, im = vals[n]
+        assert isinstance(re, Fraction) and isinstance(im, Fraction)
+        assert abs(complex(re, im) - exact) < 1e-6
 
 
 @pytest.mark.parametrize("delta,r", [(-8, 4), (-23, 1)])
@@ -106,9 +107,10 @@ def test_oracle_equivalence_small(delta, r, tables_exact):
     oracle = phi_raw_numeric(params, 40, tables_exact)
     tol = Fraction(1, 10 ** 6)
     for n in range(1, 41):
-        assert abs(oracle[n].imag) < tol
-        assert round(oracle[n].real) == phi.series.coeffs[n]
-        assert abs(oracle[n].real - phi.series.coeffs[n]) < tol
+        re, im = oracle[n]
+        assert abs(im) < tol
+        assert round(re) == phi.series.coeffs[n]
+        assert abs(re - phi.series.coeffs[n]) < tol
 
 
 def test_eigen_data_closed_form():

@@ -29,8 +29,8 @@ def test_coeffs_f_golden(capsys):
 
 
 def test_coeffs_exact_416(capsys):
-    code, out, _ = run(capsys, "coeffs", "--function", "omega",
-                       "--upto", "416", "--exact")
+    # exact integers are the default: no flag selects them
+    code, out, _ = run(capsys, "coeffs", "--function", "omega", "--upto", "416")
     assert code == 0
     assert out.strip().splitlines()[-1] == "416,147019574355949"
 
@@ -45,10 +45,26 @@ def test_coeffs_json_round_trip(capsys):
     assert json.loads(json.dumps(doc)) == doc
 
 
-def test_coeffs_exact_modulus_conflict(capsys):
-    code, _, err = run(capsys, "coeffs", "--function", "omega",
-                       "--upto", "5", "--exact", "--modulus", "23")
-    assert code == 2 and "exclusive" in err
+def test_exact_flag_is_unknown(capsys):
+    for extra in ((), ("--modulus", "23")):
+        with pytest.raises(SystemExit) as exc:
+            main(["coeffs", "--function", "omega", "--upto", "5", "--exact", *extra])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--exact" in captured.err and captured.out == ""
+
+
+def test_coeffs_negative_upto_exit_2(capsys, tmp_path):
+    for function in ("omega", "f"):
+        for extra in ((), ("--json",), ("--modulus", "23"),
+                      ("--cache-dir", str(tmp_path))):
+            code, out, err = run(capsys, "coeffs", "--function", function,
+                                 "--upto", "-1", *extra)
+            assert code == 2 and out == "", (function, extra)
+            assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+    code, out, _ = run(capsys, "coeffs", "--function", "omega", "--upto", "0")
+    assert code == 0 and out == "0,1\n"
 
 
 def test_coeffs_cache_identical_stdout(capsys, tmp_path):

@@ -4,6 +4,7 @@ import pytest
 
 from qcong.borcherds import PhiStar, TwistParams, phi_star
 from qcong.hecke import (
+    LEVEL,
     CongruenceSetting,
     InsufficientPrecision,
     SmallPrime,
@@ -76,6 +77,15 @@ def test_sturm_bound():
     assert sturm_bound(24, 1) == 1
 
 
+def test_level_is_six_for_every_twist(tables_mod23):
+    # the products live on Gamma0(6) whatever (delta, r); the report's Sturm
+    # bound is k * [SL2(Z) : Gamma0(6)] / 24 = 46 * 12 / 24 for both twists
+    assert LEVEL == 6 and index_gamma0(LEVEL) == 12
+    for params in (PARAMS_84, TwistParams(-23, 1)):
+        rep = eigencheck(params, SETTING_23, 5, 0, 1, tables_mod23)
+        assert rep.sturm == sturm_bound(46, 6) == 23, params
+
+
 def test_sturm_bound_monotone():
     for N in (1, 2, 6, 12):
         values = [sturm_bound(k, N) for k in range(1, 60)]
@@ -99,8 +109,8 @@ def test_congruence_setting():
     s = CongruenceSetting(23, 1, 2)
     assert s.k == 46 and s.modulus == 23
     assert CongruenceSetting(5, 1, 2).k == 10
-    with pytest.raises(ValueError):
-        CongruenceSetting(23, 1, 2, k=44)
+    with pytest.raises(TypeError):  # the weight is derived, never given
+        CongruenceSetting(23, 1, 2, k=46)
 
 
 def test_eigencheck_certifies(tables_mod23):

@@ -5,10 +5,10 @@ import pytest
 from qcong import cache
 from qcong.mocktheta import (
     CPLUS_DISPATCH,
-    CPlusQuery,
     MockTables,
     c_plus,
     c_series,
+    cplus_entry,
     f_coeffs,
     omega_coeffs,
     required_depth,
@@ -150,16 +150,42 @@ def test_modular_matches_exact(m):
 
 
 def test_c_plus_examples(tables_exact):
-    assert c_plus(CPlusQuery(-8, 4, 1), tables_exact) == -4
-    assert c_plus(CPlusQuery(-8, 4, 3), tables_exact) == 0
-    assert c_plus(CPlusQuery(-8, 4, 2), tables_exact) == 12
+    assert c_plus(-8, 4, 1, tables_exact) == -4
+    assert c_plus(-8, 4, 3, tables_exact) == 0
+    assert c_plus(-8, 4, 2, tables_exact) == 12
 
 
-def test_c_plus_validation():
-    with pytest.raises(ValueError):
-        CPlusQuery(-8, 3, 1)  # 9 - (-8) = 17, not 0 mod 24
-    with pytest.raises(ValueError):
-        CPlusQuery(-8, 4, 0)
+def test_c_plus_validation(tables_exact):
+    for check in (cplus_entry, lambda *a: c_plus(*a, tables_exact)):
+        with pytest.raises(ValueError):
+            check(-8, 3, 1)  # 9 - (-8) = 17, not 0 mod 24
+        with pytest.raises(ValueError):
+            check(-8, 4, 0)
+
+
+def test_cplus_entry():
+    # (kind, factor, index) with c(d) = factor * a_kind(index)
+    assert cplus_entry(-8, 4, 1) == ("omega", -4, 0)     # key 4
+    assert cplus_entry(-8, 4, 2) == ("omega", 4, 2)      # key 8
+    assert cplus_entry(-8, 4, 3) is None                 # key 0
+    assert cplus_entry(-8, 4, 5) == ("omega", 4, 16)     # key 8, (8*25-8)/12
+    assert cplus_entry(-23, 1, 1) == ("f", 1, 1)         # key 1
+    assert cplus_entry(-23, 1, 5) == ("f", -1, 24)       # key 5, (23*25+1)/24
+    assert cplus_entry(-23, 1, 2) == ("omega", -4, 7)    # key 2, odd index
+    assert cplus_entry(-23, 1, 4) == ("omega", -4, 30)   # key 4, even index
+    assert cplus_entry(-23, 1, 10) == ("omega", 4, 191)  # key 10, odd index
+    # every entry agrees with the table and the key of r*d mod 12
+    t = MockTables(EXACT)
+    for r in (4, -4, 20):
+        for d in range(1, 40):
+            kind, sign = CPLUS_DISPATCH[r * d % 12]
+            entry = cplus_entry(-8, r, d)
+            assert (entry is None) == (kind == "zero")
+            if entry:
+                assert entry[0] == kind
+                assert entry[1] == (sign if kind == "f" else -4 * sign)
+                value = t.ensure(kind, entry[2]).values(kind)[entry[2]]
+                assert c_plus(-8, r, d, t) == entry[1] * value
 
 
 def test_dispatch_antisymmetry():
@@ -170,8 +196,8 @@ def test_dispatch_antisymmetry():
     # realized antisymmetry: negating r negates the dictionary values
     t = MockTables(EXACT)
     for d in range(1, 30):
-        lhs = c_plus(CPlusQuery(-8, 4, d), t)
-        rhs = c_plus(CPlusQuery(-8, -4, d), t)
+        lhs = c_plus(-8, 4, d, t)
+        rhs = c_plus(-8, -4, d, t)
         assert lhs == -rhs
 
 
@@ -188,7 +214,7 @@ def test_dispatch_integrality_random():
         if (r * r - delta) % 24:
             continue
         d = rng.randint(1, 20)
-        c_plus(CPlusQuery(delta, r, d), t)  # raises on any integrality breach
+        c_plus(delta, r, d, t)  # raises on any integrality breach
         checked += 1
 
 
@@ -203,7 +229,7 @@ def test_c_series(tables_exact):
     assert c[1:] == [-4, 12, 0]
     c23 = c_series(-23, 1, 5, EXACT, tables_exact)
     assert c23[1] == 1  # a_f(1)
-    assert c23[5] == -tables_exact.a_f(24)  # key 5, index (23*25+1)/24
+    assert c23[5] == -tables_exact.ensure("f", 24).values("f")[24]  # key 5, (23*25+1)/24
 
 
 def test_required_depth():
@@ -218,9 +244,13 @@ def test_required_depth():
 def test_tables_growth():
     t = MockTables(Ring(23))
     assert t.source == {"f": None, "omega": None}
-    assert t.a_omega(16) == 101 % 23
+    assert t.ensure("omega", 16).values("omega")[16] == 101 % 23
     assert t.depth("omega") == 16
     assert t.source == {"f": None, "omega": "built"}
+    with pytest.raises(ValueError):  # a negative index is never "covered"
+        t.ensure("omega", -1)
+    with pytest.raises(ValueError):
+        MockTables(EXACT).ensure("omega", -1)
     t.ensure("omega", 10)  # no shrink
     assert t.depth("omega") == 16
     t.ensure("omega", 30)  # growth rebuilds to the new depth
@@ -244,7 +274,7 @@ def test_store_loads_or_builds_once(tmp_path, monkeypatch):
     ring = Ring(23)
     cold = MockTables(ring, tmp_path)
     assert cold.source == {"f": None, "omega": None}
-    assert cold.a_omega(40) == omega_coeffs(40, ring)[40]
+    assert cold.ensure("omega", 40).values("omega") == omega_coeffs(40, ring)
     cold.ensure("omega", 30)
     assert calls == ["find_coeffs", "save_coeffs"]
     assert cold.source["omega"] == "built"

@@ -5,6 +5,7 @@ import pytest
 
 from qcong.ntheory import (
     NotInvertible,
+    _fp_gauss_table,
     divisors,
     gauss_sum_numeric,
     is_fundamental_discriminant,
@@ -12,9 +13,7 @@ from qcong.ntheory import (
     mod_inverse,
     moebius,
     primes_up_to,
-    sigma,
     splitting_type,
-    valuation,
 )
 
 
@@ -71,20 +70,6 @@ def test_moebius():
     for n in range(2, 10_001):
         total = sum(moebius(d) for d in divisors(n))
         assert total == 0, n
-
-
-def test_valuation():
-    assert valuation(12, 2) == 2
-    assert valuation(12, 5) == 0
-    assert valuation(125, 5) == 3
-
-
-def test_sigma():
-    assert sigma(6, 1) == 12
-    assert sigma(2, 3) == 9
-    assert sigma(1, 9) == 1
-    assert sigma(6, 1, 7) == 5
-    assert sigma(10, 2, 23) == sigma(10, 2) % 23
 
 
 def test_mod_inverse():
@@ -154,6 +139,17 @@ def test_gauss_sum_numeric_table():
             assert abs(g + root) < 1e-9
         else:
             assert abs(g - root) < 1e-9
+
+
+def test_gauss_table_is_memoised_and_immutable():
+    # one table per (delta, scale), shared by every caller, so it must be
+    # a tuple that no caller can change
+    table = _fp_gauss_table(-23, 10 ** 30)
+    assert isinstance(table, tuple) and len(table) == 23
+    assert all(isinstance(entry, tuple) for entry in table)
+    assert _fp_gauss_table(-23, 10 ** 30) is table
+    re, im = table[5]
+    assert complex(re / 10 ** 30, im / 10 ** 30) == gauss_sum_numeric(5, -23)
 
 
 def test_gauss_ratio_identity_all_a():
