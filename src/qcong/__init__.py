@@ -29,7 +29,6 @@ from .series import (
     eta_product,
 )
 from .mocktheta import (
-    IndexNotIntegral,
     MockTables,
     c_plus,
     c_series,

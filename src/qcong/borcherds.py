@@ -38,9 +38,11 @@ class TwistParams:
 
     def __post_init__(self):
         if self.delta >= 0 or not is_fundamental_discriminant(self.delta):
-            raise ValueError(f"{self.delta} is not a negative fundamental discriminant")
+            raise ValueError(f"invalid twist: {self.delta} is not a negative "
+                             "fundamental discriminant")
         if (self.r * self.r - self.delta) % 24 != 0:
-            raise ValueError(f"need delta = r^2 (mod 24), got r = {self.r}")
+            raise ValueError(f"invalid twist: need delta = r^2 (mod 24), "
+                             f"got r = {self.r}")
 
 
 @dataclass
@@ -94,13 +96,20 @@ def exact_c1(params: TwistParams) -> int:
     return c_plus(params.delta, params.r, 1, MockTables(EXACT))
 
 
+def _normalizer(params: TwistParams) -> int:
+    """c(1), which every normalized quantity divides by; ZeroNormalizer if 0."""
+    c1 = exact_c1(params)
+    if c1 == 0:
+        raise ZeroNormalizer(f"degenerate normalizer: c(1) = 0 for the twist "
+                             f"({params.delta}, {params.r})")
+    return c1
+
+
 def phi_star(params: TwistParams, upto: int, ring: Ring,
              tables: MockTables = None) -> PhiStar:
     """Normalized expansion sum b(n) q^n with b(1) = 1, coefficients known
     through index `upto` (series precision upto + 1)."""
-    c1 = exact_c1(params)
-    if c1 == 0:
-        raise ZeroNormalizer(f"c(1) = 0 for (delta, r) = ({params.delta}, {params.r})")
+    c1 = _normalizer(params)
     c = c_series(params.delta, params.r, upto, ring, tables)
     b = [0] * (upto + 1)
     for n in range(1, upto + 1):
@@ -125,10 +134,9 @@ def phi_raw_numeric(params: TwistParams, upto: int,
     coefficient and the imaginary part vanishes to the working tolerance."""
     if tables is not None and tables.ring != EXACT:
         raise ValueError("the numeric oracle needs exact tables")
+    _normalizer(params)
     delta = params.delta
     c = c_series(delta, params.r, upto, EXACT, tables)
-    if c[1] == 0:
-        raise ZeroNormalizer("c(1) = 0")
     bound = sum(abs(c[d]) * d for d in range(1, upto + 1)) + 1
     digits = len(str(bound)) + 40
     scale = 10 ** digits
@@ -203,13 +211,14 @@ def predict_coefficient(params: TwistParams, p: int, M: int,
     addressed by c(p^M): predict_c divided by the dictionary factor."""
     if M < 1:
         raise ValueError("M must be >= 1")
+    c1 = _normalizer(params)
     d = p ** M
     entry = cplus_entry(params.delta, params.r, d)
     if entry is None:
         raise ValueError(f"c({d}) vanishes identically; nothing to predict")
     kind, factor, idx = entry
     modulus = eigen.setting.modulus
-    residue = predict_c(d, eigen, params, exact_c1(params))
+    residue = predict_c(d, eigen, params, c1)
     return kind, idx, residue * mod_inverse(factor, modulus) % modulus
 
 

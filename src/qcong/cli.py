@@ -2,9 +2,9 @@
 eigenchecks, congruence certification, expression evaluation, prime scans.
 
 Exit codes: 0 success, 2 usage or input error, 3 cache error (corrupt
-file or unusable cache directory),
-4 degenerate normalizer (c(1) = 0), 5 failed eigencheck, 6 failed
-certification.
+file or unusable cache directory), 4 degenerate normalizer (c(1) = 0),
+5 failed eigencheck, 6 failed certification.  `main` alone turns an
+exception into code 2, 3 or 4; codes 5 and 6 are command results.
 """
 
 import argparse
@@ -16,22 +16,15 @@ from . import cache
 from .borcherds import (
     EigenData,
     TwistParams,
+    ZeroNormalizer,
     exact_c1,
     phi_star,
     predict_coefficient,
 )
 from .hecke import LEVEL, CongruenceSetting, density_scan, eigencheck, sturm_bound
 from .mocktheta import MockTables
-from .ntheory import NotInvertible
-from .qexpr import (
-    ExprSyntaxError,
-    NonIntegralExponent,
-    NonUnitDenominator,
-    PoleAtOrigin,
-    evaluate,
-    parse,
-)
-from .series import EXACT, Ring
+from .qexpr import evaluate, parse
+from .series import Ring
 
 ENV_CACHE_DIR = "QCONG_CACHE_DIR"
 
@@ -47,23 +40,18 @@ def _cache_dir(args):
     return args.cache_dir or os.environ.get(ENV_CACHE_DIR)
 
 
-def _ring(modulus):
-    return Ring(modulus) if modulus else EXACT
-
-
 def _emit_json(obj):
     print(json.dumps(obj, sort_keys=True))
 
 
 def cmd_coeffs(args) -> int:
-    modulus = args.modulus or 0
-    tables = MockTables(_ring(modulus), _cache_dir(args))
+    tables = MockTables(Ring(args.modulus), _cache_dir(args))
     tables.ensure(args.function, args.upto)
     values = tables.values(args.function)[: args.upto + 1]
     if args.json:
         _emit_json({
             "command": "coeffs", "function": args.function,
-            "modulus": modulus, "upto": args.upto,
+            "modulus": args.modulus, "upto": args.upto,
             "values": [str(v) for v in values],
         })
     else:
@@ -73,26 +61,20 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_phi(args) -> int:
-    modulus = args.modulus or 0
-    try:
-        params = TwistParams(args.delta, args.r)
-    except ValueError as exc:
-        print(f"invalid twist: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    params = TwistParams(args.delta, args.r)
     c1 = exact_c1(params)
-    if c1 == 0:
-        print(f"degenerate normalizer: c(1) = 0 for ({args.delta}, {args.r})",
-              file=sys.stderr)
-        return EXIT_NORMALIZER
+    if c1 == 0:  # checked before the cache is looked at
+        raise ZeroNormalizer(f"degenerate normalizer: c(1) = 0 for the twist "
+                             f"({args.delta}, {args.r})")
     values, _ = cache.load_or_build(
-        _cache_dir(args), "phi_star", modulus, args.prec,
-        lambda: phi_star(params, args.prec, _ring(modulus)).series.coeffs[1:],
+        _cache_dir(args), "phi_star", args.modulus, args.prec,
+        lambda: phi_star(params, args.prec, Ring(args.modulus)).series.coeffs[1:],
         args.delta, args.r)
     values = values[: args.prec]  # a text file decodes whole
     if args.json:
         _emit_json({
             "command": "phi", "delta": args.delta, "r": args.r,
-            "modulus": modulus, "prec": args.prec, "c1": str(c1),
+            "modulus": args.modulus, "prec": args.prec, "c1": str(c1),
             "values": [str(v) for v in values],
         })
     else:
@@ -102,42 +84,30 @@ def cmd_phi(args) -> int:
 
 
 def cmd_heckecheck(args) -> int:
-    try:
-        params = TwistParams(args.delta, args.r)
-        setting = CongruenceSetting(args.ell, args.R, args.B)
-        tables = MockTables(Ring(setting.modulus), _cache_dir(args))
-        report = eigencheck(params, setting, args.p, args.lam, args.prec, tables)
-    except (ValueError, NotInvertible) as exc:
-        print(f"invalid eigencheck request: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    out = {"command": "heckecheck"}
-    out.update(report.to_dict())
-    out["table_source"] = tables.source
-    _emit_json(out)
+    setting = CongruenceSetting(args.ell, args.R, args.B)
+    tables = MockTables(Ring(setting.modulus), _cache_dir(args))
+    report = eigencheck(TwistParams(args.delta, args.r), setting, args.p,
+                        args.lam, args.prec, tables)
+    _emit_json({"command": "heckecheck", **report.to_dict(),
+                "table_source": tables.source})
     return EXIT_OK if report.certified else EXIT_EIGENFAIL
 
 
 def cmd_certify(args) -> int:
-    prec = args.prec
-    try:
-        params = TwistParams(args.delta, args.r)
-        setting = CongruenceSetting(args.ell, args.R, args.B)
-        if prec is None:
-            prec = sturm_bound(setting.k, LEVEL)
-        eigen = EigenData(setting, args.p, args.lam)
-        predictions = [
-            (M,) + predict_coefficient(params, args.p, M, eigen) for M in args.M
-        ]
-        # the eigencheck fetches each table once, deep enough for the rows too
-        rows_need = {}
-        for _, kind, index, _ in predictions:
-            rows_need[kind] = max(rows_need.get(kind, 0), index)
-        tables = MockTables(Ring(setting.modulus), _cache_dir(args))
-        report = eigencheck(params, setting, args.p, args.lam, prec, tables,
-                            also_reads=rows_need)
-    except (ValueError, NotInvertible) as exc:
-        print(f"invalid certification request: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    params = TwistParams(args.delta, args.r)
+    setting = CongruenceSetting(args.ell, args.R, args.B)
+    prec = sturm_bound(setting.k, LEVEL) if args.prec is None else args.prec
+    eigen = EigenData(setting, args.p, args.lam)
+    predictions = [
+        (M,) + predict_coefficient(params, args.p, M, eigen) for M in args.M
+    ]
+    # the eigencheck fetches each table once, deep enough for the rows too
+    rows_need = {}
+    for _, kind, index, _ in predictions:
+        rows_need[kind] = max(rows_need.get(kind, 0), index)
+    tables = MockTables(Ring(setting.modulus), _cache_dir(args))
+    report = eigencheck(params, setting, args.p, args.lam, prec, tables,
+                        also_reads=rows_need)
     if not report.certified:
         print(f"eigencheck failed at q^{report.first_failure}; "
               "certification prerequisites not met", file=sys.stderr)
@@ -166,17 +136,11 @@ def cmd_certify(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    modulus = args.modulus or 0
-    try:
-        series = evaluate(parse(args.expression), args.prec, _ring(modulus))
-    except (ExprSyntaxError, NonUnitDenominator, NonIntegralExponent,
-            PoleAtOrigin, NotInvertible, ValueError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    series = evaluate(parse(args.expression), args.prec, Ring(args.modulus))
     if args.json:
         _emit_json({
             "command": "eval", "expression": args.expression,
-            "modulus": modulus, "prec": args.prec,
+            "modulus": args.modulus, "prec": args.prec,
             "values": [str(v) for v in series.coeffs],
         })
     else:
@@ -186,18 +150,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    try:
-        params = TwistParams(args.delta, args.r)
-        setting = CongruenceSetting(args.ell, args.R, args.B)
-    except ValueError as exc:
-        print(f"invalid scan request: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    setting = CongruenceSetting(args.ell, args.R, args.B)
     tables = MockTables(Ring(setting.modulus), _cache_dir(args))
-    try:
-        rows = density_scan(params, setting, args.bound, args.prec, tables)
-    except (ValueError, NotInvertible) as exc:
-        print(f"scan failed: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    rows = density_scan(TwistParams(args.delta, args.r), setting, args.bound,
+                        args.prec, tables)
     if args.json:
         _emit_json({
             "command": "scan", "delta": args.delta, "r": args.r,
@@ -279,18 +235,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # A check through q^0 checks nothing, so it must not certify anything.
-    if getattr(args, "prec", None) is not None and args.prec < 1:
-        print(f"--prec must be at least 1, got {args.prec}", file=sys.stderr)
-        return EXIT_USAGE
+    # The one place an exception becomes an exit code; exits 5 and 6 are
+    # results, returned by the commands themselves.
     try:
+        # A check through q^0 checks nothing, so it must not certify anything.
+        if getattr(args, "prec", None) is not None and args.prec < 1:
+            raise ValueError(f"--prec must be at least 1, got {args.prec}")
         return args.func(args)
     except cache.CacheError as exc:
         print(f"cache error: {exc}", file=sys.stderr)
         return EXIT_CACHE
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NORMALIZER if isinstance(exc, ZeroNormalizer) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Hecke operators on truncated expansions, Sturm bounds, pole-clearing
 weight bookkeeping, eigencheck certification mod ell^R, prime scans."""
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import gcd
 
 from .borcherds import PhiStar, TwistParams, phi_star
@@ -106,28 +106,37 @@ class HeckeCheckReport:
     requested_prec: int
     verified_prec: int
     certified: bool
-    first_failure: int = None
-    sturm: int = 0
-    sturm_met: bool = False
-    table_depth: dict = field(default_factory=dict)
+    first_failure: int
+    sturm: int
+    sturm_met: bool
+    table_depth: dict
 
     def to_dict(self) -> dict:
-        return {
-            "delta": self.delta, "r": self.r, "ell": self.ell, "R": self.R,
-            "B": self.B, "weight": self.k, "p": self.p, "lambda": self.lam,
-            "requested_prec": self.requested_prec,
-            "verified_prec": self.verified_prec,
-            "certified": self.certified,
-            "first_failure": self.first_failure,
-            "sturm_bound": self.sturm,
-            "sturm_met": self.sturm_met,
-            "table_depth": self.table_depth,
-        }
+        json_keys = {"k": "weight", "lam": "lambda", "sturm": "sturm_bound"}
+        return {json_keys.get(k, k): v for k, v in asdict(self).items()}
+
+
+def _check_request(params: TwistParams, setting: CongruenceSetting, prec: int):
+    """Reject a congruence request that no table can answer, before any
+    table is read or built."""
+    if prec < 1:
+        raise ValueError(f"prec = {prec} must be at least 1")
+    if splitting_type(setting.ell, params.delta) == "split":
+        raise ValueError(f"ell = {setting.ell} splits for delta = {params.delta}")
+
+
+def _first_residual(b: list, p: int, k: int, lam: int, prec: int, ring: Ring):
+    """The first n in 1..prec with (Phi*|T_{p,k})(n) != lam * b(n) mod ell^R,
+    or None; b holds Phi*'s coefficients through at least q^(p*(prec+1)-1)."""
+    transformed = hecke_operator(Series(ring, b[: p * (prec + 1)]), p, k).coeffs
+    m = ring.modulus
+    return next((n for n in range(1, prec + 1)
+                 if transformed[n] != lam * b[n] % m), None)
 
 
 def eigencheck(params: TwistParams, setting: CongruenceSetting, p: int,
                lam: int, prec: int, tables: MockTables = None,
-               _phi: PhiStar = None, also_reads: dict = None) -> HeckeCheckReport:
+               also_reads: dict = None) -> HeckeCheckReport:
     """Verify Phi* | T_{p,k} = lam * Phi* (mod ell^R) coefficientwise
     through q^prec.
 
@@ -138,39 +147,28 @@ def eigencheck(params: TwistParams, setting: CongruenceSetting, p: int,
     afterwards; each table is then ensured once, to the deeper of that and
     the expansion's own need, after the request is validated.
     """
-    if prec < 1:
-        raise ValueError(f"prec = {prec} must be at least 1")
+    _check_request(params, setting, prec)
     if not is_prime(p) or p in (2, 3, setting.ell):
         raise ValueError(f"p = {p} must be a prime outside {{2, 3, ell}}")
-    if splitting_type(setting.ell, params.delta) == "split":
-        raise ValueError(f"ell = {setting.ell} splits for delta = {params.delta}")
     ring = Ring(setting.modulus)
     depth = p * (prec + 1) - 1
+    table_depth = required_depth(params.delta, params.r, depth)
     if tables is not None and also_reads:
-        for kind, need in required_depth(params.delta, params.r, depth).items():
+        for kind, need in table_depth.items():
             need = max(need, also_reads.get(kind, 0))
             if need:
                 tables.ensure(kind, need)
-    phi = _phi
-    if phi is None or phi.series.prec <= depth:
-        phi = phi_star(params, depth, ring, tables)
-    transformed = hecke_operator(phi.series, p, setting.k)
-    reference = Series(ring, phi.series.coeffs[: prec + 1]).scale(lam)
-    first = None
-    for n in range(1, prec + 1):
-        if transformed.coeffs[n] != reference.coeffs[n]:
-            first = n
-            break
-    certified = first is None
+    phi = phi_star(params, depth, ring, tables)
+    first = _first_residual(phi.series.coeffs, p, setting.k, lam, prec, ring)
     sturm = sturm_bound(setting.k, LEVEL)
     return HeckeCheckReport(
         delta=params.delta, r=params.r, ell=setting.ell, R=setting.R,
         B=setting.B, k=setting.k, p=p, lam=lam,
         requested_prec=prec,
-        verified_prec=prec if certified else first - 1,
-        certified=certified, first_failure=first,
+        verified_prec=prec if first is None else first - 1,
+        certified=first is None, first_failure=first,
         sturm=sturm, sturm_met=prec >= sturm,
-        table_depth=required_depth(params.delta, params.r, depth),
+        table_depth=table_depth,
     )
 
 
@@ -185,22 +183,17 @@ def density_scan(params: TwistParams, setting: CongruenceSetting,
     primes = [p for p in primes_up_to(prime_bound) if p not in (2, 3, setting.ell)]
     if not primes:
         return []
+    _check_request(params, setting, prec)
     ring = Ring(setting.modulus)
-    if tables is None:
-        tables = MockTables(ring)
     max_depth = max(p * (prec + 1) - 1 for p in primes)
-    phi = phi_star(params, max_depth, ring, tables)
+    b = phi_star(params, max_depth, ring, tables).series.coeffs
 
     def classify(p):
-        for lam, label in ((0, "0"), (2, "2")):
-            rep = eigencheck(params, setting, p, lam, prec, tables, _phi=phi)
-            if rep.certified:
+        for lam, label in ((0, "0"), (2, "2"), (b[p], "b(p)")):
+            first = _first_residual(b, p, setting.k, lam, prec, ring)
+            if first is None:
                 return (p, label, lam, None)
-        bp = phi.series.coeffs[p]
-        rep = eigencheck(params, setting, p, bp, prec, tables, _phi=phi)
-        if rep.certified:
-            return (p, "b(p)", bp, None)
-        return (p, "other", bp, rep.first_failure)
+        return (p, "other", b[p], first)
 
     return [classify(p) for p in primes]
 

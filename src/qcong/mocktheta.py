@@ -6,10 +6,6 @@ from . import cache
 from .series import EXACT, Ring, binomial_inverse_inplace
 
 
-class IndexNotIntegral(ValueError):
-    """The dispatched f/omega index is not a nonnegative integer."""
-
-
 # Power of (-q;q)_n in the denominator of f's summands.
 F_DENOMINATOR_EXPONENT = 1
 
@@ -114,9 +110,11 @@ def cplus_entry(delta: int, r: int, d: int):
     (kind, factor, index) with c(d) = factor * a_kind(index), or None where
     c(d) vanishes.  The factor is +-1 for f and the folded -+4 for omega;
     f indices are (|delta| d^2 + 1)/24, omega indices (|delta| d^2 - 8)/12.
-    Needs delta = r^2 (mod 24), which forces the asserted omega parity, and d >= 1."""
-    if (r * r - delta) % 24 != 0:
-        raise ValueError(f"need delta = r^2 (mod 24), got ({delta}, {r})")
+    Needs delta < 0 with delta = r^2 (mod 24), and d >= 1; these make both
+    divisions exact and the indices nonnegative (no delta in -7..-1 is a
+    square mod 24)."""
+    if delta >= 0 or (r * r - delta) % 24 != 0:
+        raise ValueError(f"need delta < 0 and delta = r^2 (mod 24), got ({delta}, {r})")
     if d < 1:
         raise ValueError("d must be positive")
     key = (r * d) % 12
@@ -124,16 +122,9 @@ def cplus_entry(delta: int, r: int, d: int):
     if kind == "zero":
         return None
     ad2 = abs(delta) * d * d
-    num, den = (ad2 + 1, 24) if kind == "f" else (ad2 - 8, 12)
-    if num % den or num < 0:
-        raise IndexNotIntegral(
-            f"index ({num})/{den} for {kind} at delta={delta}, d={d}"
-        )
-    idx = num // den
     if kind == "f":
-        return kind, sign, idx
-    assert idx % 2 == (1 if key in (2, 10) else 0), "omega index parity violated"
-    return kind, -4 * sign, idx
+        return kind, sign, (ad2 + 1) // 24
+    return kind, -4 * sign, (ad2 - 8) // 12
 
 
 def c_plus(delta: int, r: int, d: int, tables: MockTables) -> int:
@@ -176,7 +167,6 @@ def c_series(delta: int, r: int, D: int, ring: Ring,
 
 __all__ = [
     "CPLUS_DISPATCH",
-    "IndexNotIntegral",
     "MockTables",
     "c_plus",
     "c_series",

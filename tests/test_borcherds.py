@@ -83,12 +83,14 @@ def test_phi_star_values(tables_exact, tables_mod23):
     assert exact_c1(TwistParams(-8, 4)) == -4
 
 
-def test_phi_star_zero_normalizer(tables_exact, monkeypatch):
-    import qcong.borcherds as bmod
-
-    monkeypatch.setattr(bmod, "exact_c1", lambda params: 0)
+def test_phi_star_zero_normalizer(tables_exact):
+    # (-15, 3): r*d is a multiple of 3 for every d, so c(1) = 0
+    params = TwistParams(-15, 3)
+    assert exact_c1(params) == 0
     with pytest.raises(ZeroNormalizer):
-        phi_star(TwistParams(-8, 4), 3, EXACT, tables_exact)
+        phi_star(params, 3, EXACT, tables_exact)
+    with pytest.raises(ZeroNormalizer):
+        phi_raw_numeric(params, 3, tables_exact)
 
 
 def test_phi_raw_numeric_spot_values():

@@ -173,8 +173,18 @@ def test_certify_rejects_bad_prime_before_building(capsys, tmp_path):
     # p is checked before any table is built for the rows
     code, out, err = run(capsys, "certify", *TWIST, "--p", "25", "--M", "4",
                          "--cache-dir", str(tmp_path))
-    assert code == 2 and out == "" and "invalid certification request" in err
+    assert code == 2 and out == "" and "UncoveredPrime" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_scan_rejects_split_ell_before_building(capsys, tmp_path):
+    # 13 splits for -23: the request is refused before any table is built
+    code, out, err = run(capsys, "scan", "--delta", "-23", "--r", "1",
+                         "--ell", "13", "--R", "1", "--B", "2", "--bound", "30",
+                         "--prec", "10", "--cache-dir", str(tmp_path / "cache"))
+    assert code == 2 and out == "" and "splits" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "cache").exists()
 
 
 def test_heckecheck_table_source_without_cache(capsys):
@@ -368,12 +378,26 @@ def test_scan_json(capsys):
     assert all(row["class"] in ("0", "2", "b(p)") for row in doc["rows"])
 
 
-def test_phi_zero_normalizer_exit_4(capsys, monkeypatch):
-    import qcong.cli as cli_mod
+# r*d is a multiple of 3 for every d, so every c(d) vanishes, c(1) included;
+# 7 is inert for -15, so the requests pass every other check
+ZERO_TWIST = ("--delta", "-15", "--r", "3")
+ZERO_SETTING = ("--ell", "7", "--R", "1", "--B", "2")
 
-    monkeypatch.setattr(cli_mod, "exact_c1", lambda params: 0)
-    code, _, err = run(capsys, "phi", "--delta", "-8", "--r", "4", "--prec", "3")
-    assert code == 4 and "normalizer" in err
+
+def test_phi_zero_normalizer_exit_4(capsys, tmp_path):
+    # every command that needs c(1) exits 4, before any table is cached
+    for argv in [
+        ("phi", *ZERO_TWIST, "--prec", "3"),
+        ("heckecheck", *ZERO_TWIST, *ZERO_SETTING, "--p", "11", "--prec", "5"),
+        ("scan", *ZERO_TWIST, *ZERO_SETTING, "--bound", "30", "--prec", "5"),
+        ("certify", *ZERO_TWIST, *ZERO_SETTING, "--p", "11"),
+        ("certify", *ZERO_TWIST, *ZERO_SETTING, "--p", "11", "--M", "1", "2"),
+    ]:
+        code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert code == 4 and out == "" and "normalizer" in err, argv
+        assert err.startswith("error: ZeroNormalizer:"), argv
+        assert len(err.splitlines()) == 1, argv
+        assert list(tmp_path.iterdir()) == [], argv
 
 
 def test_env_cache_dir(capsys, tmp_path, monkeypatch):

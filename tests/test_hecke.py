@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import qcong.hecke as hecke_mod
 from qcong.borcherds import PhiStar, TwistParams, phi_star
 from qcong.hecke import (
     LEVEL,
@@ -151,7 +152,7 @@ def test_eigencheck_validation(tables_mod23):
         eigencheck(TwistParams(-23, 1), CongruenceSetting(13, 1, 2), 5, 0, 5)
 
 
-def test_eigencheck_sensitivity(tables_mod23):
+def test_eigencheck_sensitivity(tables_mod23, monkeypatch):
     # corrupting a coefficient the transform reads breaks certification;
     # with lambda = 0 and T_p those are the multiples of p up to p*prec and
     # the indices up to prec // p (read back through the p^(k-1) term)
@@ -163,8 +164,13 @@ def test_eigencheck_sensitivity(tables_mod23):
         coeffs = list(phi.series.coeffs)
         coeffs[idx] = (coeffs[idx] + 1) % 23
         doctored = PhiStar(PARAMS_84, Series(Ring(23), coeffs), phi.c1)
-        return eigencheck(PARAMS_84, SETTING_23, 5, 0, prec, tables_mod23,
-                          _phi=doctored)
+
+        def doctored_phi_star(params, upto, ring, tables=None):
+            assert (params, upto, ring) == (PARAMS_84, depth, Ring(23))
+            return doctored
+
+        monkeypatch.setattr(hecke_mod, "phi_star", doctored_phi_star)
+        return eigencheck(PARAMS_84, SETTING_23, 5, 0, prec, tables_mod23)
 
     for idx in (5, 10, 50, 100, 2, 3, 4):
         assert not flipped(idx).certified, idx

@@ -161,6 +161,8 @@ def test_c_plus_validation(tables_exact):
             check(-8, 3, 1)  # 9 - (-8) = 17, not 0 mod 24
         with pytest.raises(ValueError):
             check(-8, 4, 0)
+        with pytest.raises(ValueError):
+            check(1, 1, 1)  # a square mod 24, but not negative: (1 + 1)/24
 
 
 def test_cplus_entry():
@@ -201,8 +203,37 @@ def test_dispatch_antisymmetry():
         assert lhs == -rhs
 
 
+def test_cplus_index_exact_for_every_twist():
+    # cplus_entry divides without a check: for every fundamental delta in
+    # -2000..-1, every r mod 24 with r^2 = delta and d = 1..48 (the residues
+    # depend only on delta mod 24 and d mod 12) the division is exact, the
+    # index is nonnegative, and an omega index is odd exactly on keys 2, 10
+    checked = 0
+    for delta in range(-2000, 0):
+        if not _is_fund(delta):
+            continue
+        for r in range(24):
+            if (r * r - delta) % 24:
+                continue
+            for d in range(1, 49):
+                key = r * d % 12
+                kind, _ = CPLUS_DISPATCH[key]
+                entry = cplus_entry(delta, r, d)
+                if kind == "zero":
+                    assert entry is None
+                    continue
+                ad2 = abs(delta) * d * d
+                num, den = (ad2 + 1, 24) if kind == "f" else (ad2 - 8, 12)
+                assert num % den == 0 and num >= 0, (delta, r, d)
+                assert entry[0] == kind and entry[2] == num // den
+                if kind == "omega":
+                    assert entry[2] % 2 == (key in (2, 10)), (delta, r, d)
+                checked += 1
+    assert checked > 20000  # the loop reached the dictionary (29952 entries)
+
+
 def test_dispatch_integrality_random():
-    # any valid (delta, r, d) dispatches to a nonnegative integral index
+    # any valid (delta, r, d) reads a table entry that exists
     rng = random.Random(2024)
     fundamentals = [d for d in range(-200, 0)
                     if d % 4 in (0, 1) and _is_fund(d)]
@@ -214,7 +245,7 @@ def test_dispatch_integrality_random():
         if (r * r - delta) % 24:
             continue
         d = rng.randint(1, 20)
-        c_plus(delta, r, d, t)  # raises on any integrality breach
+        c_plus(delta, r, d, t)  # a negative index would raise here
         checked += 1
 
 

@@ -2,6 +2,7 @@ import re
 import shlex
 from pathlib import Path
 
+from qcong import cli
 from qcong.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -28,3 +29,12 @@ def test_readme_quick_start_parses():
     for argv in commands:
         args = parser.parse_args(argv[1:])
         assert args.command == argv[1]
+
+
+def test_readme_exit_codes_match_cli():
+    # the README's exit-code table lists exactly the codes cli.EXIT_* defines
+    section = README.read_text(encoding="utf-8").split("\n### Exit codes\n", 1)[1]
+    table = section.strip().split("\n\n", 1)[0]
+    codes = [int(m) for m in re.findall(r"^\|\s*(\d+)\s*\|", table, re.M)]
+    defined = [v for k, v in sorted(vars(cli).items()) if k.startswith("EXIT_")]
+    assert codes == sorted(defined)
