@@ -40,17 +40,13 @@ from .mocktheta import (
 from .borcherds import (
     EigenData,
     NonDivisible,
-    PhiStar,
     TwistParams,
-    UncoveredPrime,
     ZeroNormalizer,
     b_from_c,
     c_from_b,
     phi_raw_numeric,
     phi_star,
-    predict_c,
-    predict_f,
-    predict_omega,
+    predict_coefficient,
 )
 from .hecke import (
     CongruenceSetting,

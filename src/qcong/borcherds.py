@@ -9,9 +9,8 @@ from .mocktheta import MockTables, c_plus, c_series, cplus_entry
 from .ntheory import (
     _fp_gauss_table,
     divisors,
-    factorize,
-    gcd,
     is_fundamental_discriminant,
+    is_prime,
     kronecker,
     mod_inverse,
     moebius,
@@ -27,10 +26,6 @@ class NonDivisible(ArithmeticError):
     """An exact-ring division that must be exact is not; upstream bug."""
 
 
-class UncoveredPrime(ValueError):
-    """predict_c was asked about a prime with no eigenvalue data."""
-
-
 @dataclass
 class TwistParams:
     delta: int
@@ -43,13 +38,6 @@ class TwistParams:
         if (self.r * self.r - self.delta) % 24 != 0:
             raise ValueError(f"invalid twist: need delta = r^2 (mod 24), "
                              f"got r = {self.r}")
-
-
-@dataclass
-class PhiStar:
-    params: TwistParams
-    series: Series        # coefficients b(0) = 0, b(1) = 1, ..., b(prec-1)
-    c1: int               # the exact normalizing coefficient c(1)
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -106,15 +94,15 @@ def _normalizer(params: TwistParams) -> int:
 
 
 def phi_star(params: TwistParams, upto: int, ring: Ring,
-             tables: MockTables = None) -> PhiStar:
-    """Normalized expansion sum b(n) q^n with b(1) = 1, coefficients known
-    through index `upto` (series precision upto + 1)."""
-    c1 = _normalizer(params)
+             tables: MockTables = None) -> Series:
+    """Normalized expansion sum b(n) q^n with b(0) = 0 and b(1) = 1,
+    coefficients known through index `upto` (series precision upto + 1)."""
+    _normalizer(params)
     c = c_series(params.delta, params.r, upto, ring, tables)
     b = [0] * (upto + 1)
     for n in range(1, upto + 1):
         b[n] = b_from_c(c, n, params.delta, ring)
-    return PhiStar(params, Series(ring, b), c1)
+    return Series(ring, b)
 
 
 def phi_raw_numeric(params: TwistParams, upto: int,
@@ -159,19 +147,29 @@ def phi_raw_numeric(params: TwistParams, upto: int,
     return out
 
 
+def check_prime(p: int, ell: int):
+    """The one rule for the prime p of an eigencheck or a prediction: p is
+    prime and outside {2, 3, ell}, so every p^M is coprime to 6*ell."""
+    if not is_prime(p) or p in (2, 3, ell):
+        raise ValueError(f"p = {p} must be a prime outside {{2, 3, ell}}")
+
+
 @dataclass
 class EigenData:
     """Eigenvalue data for one prime: rules out b(p^j) mod ell^R.
 
-    setting provides ell, modulus = ell^R and the weight k (hecke.CongruenceSetting).
-    For lambda = 0 the recursion collapses to b(p^(2m+1)) = 0 and
-    b(p^(2m)) = (-p^(k-1))^m.
+    setting provides ell, modulus = ell^R and the weight k (hecke.CongruenceSetting);
+    p must pass check_prime.  For lambda = 0 the recursion collapses to
+    b(p^(2m+1)) = 0 and b(p^(2m)) = (-p^(k-1))^m.
     """
 
     setting: object
     p: int
     lam: int
     _powers: list = field(default_factory=list, repr=False)
+
+    def __post_init__(self):
+        check_prime(self.p, self.setting.ell)
 
     def b_power(self, j: int) -> int:
         m = self.setting.modulus
@@ -184,74 +182,36 @@ class EigenData:
         return self._powers[j]
 
 
-def predict_c(n: int, eigen: EigenData, params: TwistParams, c1: int) -> int:
-    """Predicted residue of c(n) mod ell^R from eigenvalue data at p = eigen.p:
-
-        c(n) = (c(1)/n) * ( b(p^v) - b(p^(v-1)) (delta/p) )
-
-    for n = p^v.  n must be a power of eigen.p (n = 1 gives c(1)) and
-    coprime to 6*ell; any other prime of n raises UncoveredPrime."""
-    modulus = eigen.setting.modulus
-    ell = eigen.setting.ell
-    if gcd(n, 6 * ell) != 1:
-        raise ValueError(f"n = {n} must be coprime to 6*ell = {6 * ell}")
-    result = c1 % modulus * mod_inverse(n, modulus) % modulus
-    for p, v in factorize(n).items():
-        if p != eigen.p:
-            raise UncoveredPrime(f"no eigenvalue data for prime {p}")
-        term = (eigen.b_power(v)
-                - eigen.b_power(v - 1) * kronecker(params.delta, p)) % modulus
-        result = result * term % modulus
-    return result
-
-
-def predict_coefficient(params: TwistParams, p: int, M: int,
-                        eigen: EigenData) -> tuple:
+def predict_coefficient(params: TwistParams, M: int, eigen: EigenData) -> tuple:
     """(kind, table index, predicted residue) for the mock theta coefficient
-    addressed by c(p^M): predict_c divided by the dictionary factor."""
+    addressed by c(p^M), p = eigen.p, M >= 1 and p not dividing delta:
+
+        c(p^M) = (c(1)/p^M) * ( b(p^M) - b(p^(M-1)) (delta/p) )
+
+    divided by the dictionary factor.  c(p^M) never vanishes here: c(1) != 0
+    forces 3 not dividing r, and p is prime to 3."""
     if M < 1:
         raise ValueError("M must be >= 1")
     c1 = _normalizer(params)
-    d = p ** M
-    entry = cplus_entry(params.delta, params.r, d)
-    if entry is None:
-        raise ValueError(f"c({d}) vanishes identically; nothing to predict")
-    kind, factor, idx = entry
+    p = eigen.p
+    if params.delta % p == 0:
+        raise ValueError(f"p = {p} must not divide delta = {params.delta}")
+    kind, factor, idx = cplus_entry(params.delta, params.r, p ** M)
     modulus = eigen.setting.modulus
-    residue = predict_c(d, eigen, params, c1)
-    return kind, idx, residue * mod_inverse(factor, modulus) % modulus
-
-
-def predict_omega(p: int, M: int, eigen: EigenData) -> tuple:
-    """Predicted (index, residue) for a_omega(2(p^(2M) - 1)/3) mod ell^R,
-    for the twist (delta, r) = (-8, 4)."""
-    _, idx, residue = predict_coefficient(TwistParams(-8, 4), p, M, eigen)
-    return idx, residue
-
-
-def predict_f(p: int, M: int, eigen: EigenData) -> tuple:
-    """Predicted (index, residue) for a_f((23 p^(2M) + 1)/24) mod ell^R,
-    for the twist (delta, r) = (-23, 1)."""
-    if p % 23 == 0:
-        raise ValueError("p must not divide 23")
-    _, idx, residue = predict_coefficient(TwistParams(-23, 1), p, M, eigen)
-    return idx, residue
+    c = c1 * (eigen.b_power(M) - eigen.b_power(M - 1) * kronecker(params.delta, p))
+    return kind, idx, c * mod_inverse(p ** M * factor, modulus) % modulus
 
 
 __all__ = [
     "EigenData",
     "NonDivisible",
-    "PhiStar",
     "TwistParams",
-    "UncoveredPrime",
     "ZeroNormalizer",
     "b_from_c",
     "c_from_b",
+    "check_prime",
     "exact_c1",
     "phi_raw_numeric",
     "phi_star",
-    "predict_c",
     "predict_coefficient",
-    "predict_f",
-    "predict_omega",
 ]

@@ -230,7 +230,7 @@ def find_coeffs(directory, function: str, modulus: int, min_prec: int,
         try:
             with path.open("rb") as fh:
                 header = json.loads(fh.readline())
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):  # unreadable, or not JSON text
             continue
         if not isinstance(header, dict) or header.get("format") != FORMAT_TAG:
             continue

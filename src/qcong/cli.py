@@ -68,7 +68,7 @@ def cmd_phi(args) -> int:
                              f"({args.delta}, {args.r})")
     values, _ = cache.load_or_build(
         _cache_dir(args), "phi_star", args.modulus, args.prec,
-        lambda: phi_star(params, args.prec, Ring(args.modulus)).series.coeffs[1:],
+        lambda: phi_star(params, args.prec, Ring(args.modulus)).coeffs[1:],
         args.delta, args.r)
     values = values[: args.prec]  # a text file decodes whole
     if args.json:
@@ -99,7 +99,7 @@ def cmd_certify(args) -> int:
     prec = sturm_bound(setting.k, LEVEL) if args.prec is None else args.prec
     eigen = EigenData(setting, args.p, args.lam)
     predictions = [
-        (M,) + predict_coefficient(params, args.p, M, eigen) for M in args.M
+        (M,) + predict_coefficient(params, M, eigen) for M in args.M
     ]
     # the eigencheck fetches each table once, deep enough for the rows too
     rows_need = {}
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sp.add_parser("certify", help="predicted vs computed congruences")
     for flag in ("--delta", "--r", "--p", "--ell", "--R", "--B"):
         c.add_argument(flag, type=int, required=True)
-    c.add_argument("--M", type=int, nargs="*", default=[])
+    c.add_argument("--M", type=int, nargs="+", required=True)
     c.add_argument("--prec", type=int, default=None,
                    help="eigencheck precision (default: the Sturm bound)")
     c.add_argument("--lambda", dest="lam", type=int, default=0)

@@ -4,7 +4,7 @@ weight bookkeeping, eigencheck certification mod ell^R, prime scans."""
 from dataclasses import asdict, dataclass, field
 from math import gcd
 
-from .borcherds import PhiStar, TwistParams, phi_star
+from .borcherds import TwistParams, check_prime, phi_star
 from .mocktheta import MockTables, required_depth
 from .ntheory import factorize, is_prime, primes_up_to, splitting_type
 from .series import Ring, Series
@@ -148,8 +148,7 @@ def eigencheck(params: TwistParams, setting: CongruenceSetting, p: int,
     the expansion's own need, after the request is validated.
     """
     _check_request(params, setting, prec)
-    if not is_prime(p) or p in (2, 3, setting.ell):
-        raise ValueError(f"p = {p} must be a prime outside {{2, 3, ell}}")
+    check_prime(p, setting.ell)
     ring = Ring(setting.modulus)
     depth = p * (prec + 1) - 1
     table_depth = required_depth(params.delta, params.r, depth)
@@ -158,8 +157,8 @@ def eigencheck(params: TwistParams, setting: CongruenceSetting, p: int,
             need = max(need, also_reads.get(kind, 0))
             if need:
                 tables.ensure(kind, need)
-    phi = phi_star(params, depth, ring, tables)
-    first = _first_residual(phi.series.coeffs, p, setting.k, lam, prec, ring)
+    b = phi_star(params, depth, ring, tables).coeffs
+    first = _first_residual(b, p, setting.k, lam, prec, ring)
     sturm = sturm_bound(setting.k, LEVEL)
     return HeckeCheckReport(
         delta=params.delta, r=params.r, ell=setting.ell, R=setting.R,
@@ -186,7 +185,7 @@ def density_scan(params: TwistParams, setting: CongruenceSetting,
     _check_request(params, setting, prec)
     ring = Ring(setting.modulus)
     max_depth = max(p * (prec + 1) - 1 for p in primes)
-    b = phi_star(params, max_depth, ring, tables).series.coeffs
+    b = phi_star(params, max_depth, ring, tables).coeffs
 
     def classify(p):
         for lam, label in ((0, "0"), (2, "2"), (b[p], "b(p)")):
@@ -198,36 +197,28 @@ def density_scan(params: TwistParams, setting: CongruenceSetting,
     return [classify(p) for p in primes]
 
 
-def multiplicativity_check(phi: PhiStar, bound: int, k: int,
-                           recursion_bound: int = None,
-                           primes: set = None) -> tuple:
+def multiplicativity_check(phi: Series, bound: int, k: int,
+                           recursion_bound: int = None) -> tuple:
     """Check eigenform identities on the coefficients of phi mod ell^R:
 
-    - b(m) b(n) = b(mn) for coprime pairs with mn <= bound
-      (restricted to pairs supported on `primes` when given);
+    - b(m) b(n) = b(mn) for coprime pairs with mn <= bound;
     - b(p) b(p^j) = b(p^(j+1)) + p^(k-1) b(p^(j-1)) for p^(j+1) <=
       recursion_bound, p coprime to 6*ell.
 
     Returns (True, None) or (False, first counterexample).
     """
-    b = phi.series.coeffs
-    m = phi.series.ring.modulus
+    b = phi.coeffs
+    m = phi.ring.modulus
     if len(b) <= max(bound, recursion_bound or 0):
         raise InsufficientPrecision("phi not built deep enough")
     for m1 in range(1, bound + 1):
         for n1 in range(m1 + 1, bound // m1 + 1):
-            if gcd(m1, n1) != 1:
-                continue
-            if primes is not None:
-                support = set(factorize(m1)) | set(factorize(n1))
-                if not support <= primes:
-                    continue
-            if b[m1] * b[n1] % m != b[m1 * n1]:
+            if gcd(m1, n1) == 1 and b[m1] * b[n1] % m != b[m1 * n1]:
                 return False, ("multiplicativity", m1, n1)
     if recursion_bound:
         ell = _modulus_prime(m)
         for p in primes_up_to(recursion_bound):
-            if p in (2, 3, ell) or (primes is not None and p not in primes):
+            if p in (2, 3, ell):
                 continue
             pk1 = pow(p, k - 1, m)
             j = 1

@@ -90,9 +90,6 @@ class MockTables:
     def values(self, which: str) -> list:
         return self._tables[which]
 
-    def depth(self, which: str) -> int:
-        return len(self._tables[which]) - 1
-
 
 # key = r*d mod 12 -> (kind, sign).  Keys 0 mod 3 vanish; odd keys read off
 # a_f with sign pattern +,-,+,- on 1,5,7,11; even keys read off -4*a_omega

@@ -155,9 +155,6 @@ class Series:
             c[exponent] = coeff
         return cls(ring, c)
 
-    def __getitem__(self, n: int) -> int:
-        return self.coeffs[n]
-
     def __eq__(self, other):
         return (
             isinstance(other, Series)
@@ -190,15 +187,6 @@ class Series:
     def neg(self) -> "Series":
         m = self.ring.modulus
         c = [(-x) % m for x in self.coeffs] if m else [-x for x in self.coeffs]
-        return Series(self.ring, c)
-
-    def scale(self, factor: int) -> "Series":
-        m = self.ring.modulus
-        if m:
-            factor %= m
-            c = [x * factor % m for x in self.coeffs]
-        else:
-            c = [x * factor for x in self.coeffs]
         return Series(self.ring, c)
 
     def mul(self, other: "Series") -> "Series":
@@ -239,12 +227,6 @@ class Series:
             b[n] = (-s * c0inv) % m if m else -s * c0inv
         return Series(self.ring, b)
 
-    def reduce_mod(self, modulus: int) -> "Series":
-        """Coefficientwise reduction of an exact series into Z/m."""
-        if self.ring.modulus:
-            raise RingMismatch("reduce_mod expects an exact-ring series")
-        return Series(Ring(modulus), self.coeffs)
-
     def shifted(self, s: int) -> "Series":
         """Multiply by q^s.  Positive s prepends zeros (precision grows);
         negative s drops leading coefficients, which must be zero."""
@@ -260,11 +242,6 @@ class Series:
         if prec > self.prec:
             raise ValueError("cannot truncate to higher precision")
         return Series(self.ring, self.coeffs[:prec])
-
-    __add__ = add
-    __sub__ = sub
-    __neg__ = neg
-    __mul__ = mul
 
 
 def pentagonal_coefficients(scale: int, length: int) -> list:

@@ -134,8 +134,8 @@ def test_criterion_07_oracle_equivalence(tables_exact):
         for n in range(1, 101):
             re, im = oracle[n]
             assert abs(im) < tol, (params.delta, n)
-            assert abs(re - phi.series.coeffs[n]) < tol
-            assert round(re) == phi.series.coeffs[n]
+            assert abs(re - phi.coeffs[n]) < tol
+            assert round(re) == phi.coeffs[n]
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
     _report(7, f"expansion matches the complex-exponential oracle to n = 100 "

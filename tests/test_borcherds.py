@@ -9,13 +9,11 @@ from qcong.borcherds import (
     ZeroNormalizer,
     b_from_c,
     c_from_b,
+    check_prime,
     exact_c1,
     phi_raw_numeric,
     phi_star,
-    predict_c,
     predict_coefficient,
-    predict_f,
-    predict_omega,
 )
 from qcong.hecke import CongruenceSetting
 from qcong.mocktheta import c_series
@@ -76,10 +74,10 @@ def test_non_divisible():
 
 def test_phi_star_values(tables_exact, tables_mod23):
     phi = phi_star(TwistParams(-8, 4), 3, Ring(23), tables_mod23)
-    assert phi.series.coeffs[1:] == [1, 17, 1]
+    assert phi.coeffs == [0, 1, 17, 1] and phi.ring == Ring(23)
     phi23 = phi_star(TwistParams(-23, 1), 1, EXACT, tables_exact)
-    assert phi23.series.coeffs[1] == 1
-    assert phi23.c1 == 1
+    assert phi23.coeffs == [0, 1]
+    assert exact_c1(TwistParams(-23, 1)) == 1
     assert exact_c1(TwistParams(-8, 4)) == -4
 
 
@@ -111,8 +109,8 @@ def test_oracle_equivalence_small(delta, r, tables_exact):
     for n in range(1, 41):
         re, im = oracle[n]
         assert abs(im) < tol
-        assert round(re) == phi.series.coeffs[n]
-        assert abs(re - phi.series.coeffs[n]) < tol
+        assert round(re) == phi.coeffs[n]
+        assert abs(re - phi.coeffs[n]) < tol
 
 
 def test_eigen_data_closed_form():
@@ -128,54 +126,65 @@ def test_eigen_data_closed_form():
 
 
 def test_predict_c_consistency():
-    # the prediction at p^M equals direct substitution of the power rule
-    setting = CongruenceSetting(23, 1, 2)
-    params = TwistParams(-8, 4)
+    # the prediction at p^M, times its dictionary factor, equals direct
+    # substitution of the power rule into c(p^M)
+    from qcong.mocktheta import cplus_entry
     from qcong.ntheory import kronecker, mod_inverse
 
+    setting = CongruenceSetting(23, 1, 2)
+    params = TwistParams(-8, 4)
     for lam in (0, 2, 7):
         e = EigenData(setting, 5, lam)
         for M in range(1, 9):
-            got = predict_c(5 ** M, e, params, -4)
+            _, _, got = predict_coefficient(params, M, e)
+            _, factor, _ = cplus_entry(-8, 4, 5 ** M)
             chi = kronecker(-8, 5)
             direct = (-4) * mod_inverse(5 ** M, 23) * (
                 e.b_power(M) - e.b_power(M - 1) * chi
             ) % 23
-            assert got == direct % 23
+            assert got * factor % 23 == direct
 
 
 def test_predict_c_validation():
+    # only c(p^M) with M >= 1 can be asked for; p must pass the p rule and
+    # must not divide delta
     setting = CongruenceSetting(23, 1, 2)
     params = TwistParams(-8, 4)
     e = EigenData(setting, 5, 0)
-    assert predict_c(1, e, params, -4) == -4 % 23
-    with pytest.raises(ValueError):
-        predict_c(10, e, params, -4)  # not coprime to 6
-    from qcong.borcherds import UncoveredPrime
-
-    with pytest.raises(UncoveredPrime):
-        predict_c(7, e, params, -4)
+    with pytest.raises(ValueError, match="M must be"):
+        predict_coefficient(params, 0, e)
+    for p in (10, 25, 1, 2, 3, 23):     # not prime, or in {2, 3, ell}
+        with pytest.raises(ValueError, match="must be a prime outside"):
+            EigenData(setting, p, 0)
+        with pytest.raises(ValueError, match="must be a prime outside"):
+            check_prime(p, 23)
+    check_prime(7, 23)
+    with pytest.raises(ValueError, match="must not divide delta"):
+        predict_coefficient(TwistParams(-20, 2), 1, e)
 
 
 def test_predict_omega_table():
     setting = CongruenceSetting(23, 1, 2)
     e = EigenData(setting, 5, 0)
-    assert predict_omega(5, 1, e) == (16, 9)
-    assert predict_omega(5, 2, e) == (416, 9)
-    assert predict_omega(5, 3, e) == (10416, 12)
-    assert predict_omega(5, 4, e) == (260416, 12)
+    got = [predict_coefficient(TwistParams(-8, 4), M, e) for M in (1, 2, 3, 4)]
+    assert got == [("omega", 16, 9), ("omega", 416, 9),
+                   ("omega", 10416, 12), ("omega", 260416, 12)]
 
 
 def test_predict_f_index():
-    setting = CongruenceSetting(5, 1, 2)
-    e = EigenData(setting, 7, 0)
-    idx, _ = predict_f(7, 1, e)
-    assert idx == (23 * 49 + 1) // 24
+    params = TwistParams(-23, 1)
+    e = EigenData(CongruenceSetting(5, 1, 2), 7, 0)
+    assert predict_coefficient(params, 1, e)[:2] == ("f", (23 * 49 + 1) // 24)
     setting23 = CongruenceSetting(23, 1, 2)
     e5 = EigenData(setting23, 5, 0)
-    assert predict_f(5, 1, e5)[0] == 24
+    assert predict_coefficient(params, 1, e5)[:2] == ("f", 24)
+    with pytest.raises(ValueError):     # p = ell = 23: no eigen data
+        EigenData(setting23, 23, 0)
+    e23 = EigenData(CongruenceSetting(5, 1, 2), 23, 0)
+    with pytest.raises(ValueError, match="must not divide delta"):
+        predict_coefficient(params, 1, e23)     # p = 23 divides delta
     with pytest.raises(ValueError):
-        predict_f(23, 1, e5)
+        predict_coefficient(params, 0, e5)
 
 
 def test_predict_f_odd_case_sign():
@@ -187,7 +196,7 @@ def test_predict_f_odd_case_sign():
     setting = CongruenceSetting(23, 1, 2)
     for p in (5, 7, 11, 13):
         e = EigenData(setting, p, 0)
-        idx, res = predict_f(p, 1, e)
+        _, idx, res = predict_coefficient(TwistParams(-23, 1), 1, e)
         _, sign = CPLUS_DISPATCH[p % 12]
         expect = sign * mod_inverse(p, 23) * (-e.b_power(0)) * kronecker(-23, p) % 23
         assert res == expect
@@ -196,7 +205,26 @@ def test_predict_f_odd_case_sign():
 def test_predict_coefficient_kind(tables_exact):
     setting = CongruenceSetting(23, 1, 2)
     e = EigenData(setting, 5, 0)
-    kind, idx, _ = predict_coefficient(TwistParams(-8, 4), 5, 1, e)
+    kind, idx, _ = predict_coefficient(TwistParams(-8, 4), 1, e)
     assert (kind, idx) == ("omega", 16)
-    kind, idx, _ = predict_coefficient(TwistParams(-23, 1), 5, 1, e)
+    kind, idx, _ = predict_coefficient(TwistParams(-23, 1), 1, e)
     assert (kind, idx) == ("f", 24)
+
+
+def test_predict_coefficient_never_vanishes():
+    # c(p^M) is never a zero dictionary key once c(1) != 0: that forces
+    # 3 not dividing r, and the p rule keeps 3 out of p
+    from qcong.mocktheta import cplus_entry
+
+    setting = CongruenceSetting(23, 1, 2)
+    with pytest.raises(ZeroNormalizer):         # 3 | r: c(1) = 0
+        predict_coefficient(TwistParams(-15, 3), 1, EigenData(setting, 5, 0))
+    for delta, r in ((-8, 4), (-23, 1), (-20, 2), (-47, 1), (-71, 1)):
+        assert exact_c1(TwistParams(delta, r)) != 0
+        for p in (5, 7, 11, 13, 17, 19, 29):
+            for M in (1, 2, 3):
+                assert cplus_entry(delta, r, p ** M) is not None
+                if delta % p:
+                    kind, _, _ = predict_coefficient(
+                        TwistParams(delta, r), M, EigenData(setting, p, 0))
+                    assert kind in ("f", "omega")

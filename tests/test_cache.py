@@ -195,6 +195,47 @@ def test_corruption_detection(tmp_path, write_legacy_text):
                 find_coeffs(tmp_path, "omega", 23, min_prec=1)
 
 
+def _rewrite_header(path, **fields):
+    head, body = path.read_bytes().split(b"\n", 1)
+    header = json.dumps({**json.loads(head), **fields}).encode()
+    return header + b"\n" + body
+
+
+STRUCTURAL_DAMAGE = {
+    # name: (rewrite of a binary omega file, message)
+    "no-header-newline": (lambda path: path.read_bytes().split(b"\n", 1)[0],
+                          "missing header line"),
+    "wrong-format-tag": (lambda path: _rewrite_header(path, format="qser0"),
+                         "unrecognized format tag"),
+    "unknown-encoding": (lambda path: _rewrite_header(path, encoding="zip"),
+                         "unknown encoding 'zip'"),
+    "truncated-length-field": (
+        lambda path: path.read_bytes().split(MAGIC, 1)[0] + MAGIC + b"\x03\x00",
+        "truncated length field"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(STRUCTURAL_DAMAGE))
+def test_load_coeffs_structural_damage(capsys, tmp_path, damage):
+    args = ["coeffs", "--function", "omega", "--modulus", "23", "--upto", "2"]
+    assert main(args) == 0
+    expect = capsys.readouterr().out
+    path = save_coeffs(tmp_path, "omega", [1, 2, 3], 23, prec=2)
+    rewrite, message = STRUCTURAL_DAMAGE[damage]
+    path.write_bytes(rewrite(path))
+    for count in (None, 1):
+        with pytest.raises(CacheError, match=message):
+            load_coeffs(path, count)
+    # a lookup skips a file of another format; any other damage is exit 3
+    code = main(args + ["--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    if damage == "wrong-format-tag":
+        assert code == 0 and captured.out == expect
+    else:
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("cache error:") and message in captured.err
+
+
 def test_find_coeffs_picks_deepest(tmp_path):
     save_coeffs(tmp_path, "omega", list(range(11)), 23, prec=10)
     save_coeffs(tmp_path, "omega", list(range(21)), 23, prec=20)

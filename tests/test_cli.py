@@ -173,8 +173,27 @@ def test_certify_rejects_bad_prime_before_building(capsys, tmp_path):
     # p is checked before any table is built for the rows
     code, out, err = run(capsys, "certify", *TWIST, "--p", "25", "--M", "4",
                          "--cache-dir", str(tmp_path))
-    assert code == 2 and out == "" and "UncoveredPrime" in err
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert "p = 25 must be a prime outside {2, 3, ell}" in err
     assert list(tmp_path.iterdir()) == []
+    # p = 23 divides delta = -23: the lambda = 0 power rule does not hold
+    code, out, err = run(capsys, "certify", "--delta", "-23", "--r", "1",
+                         "--p", "23", "--ell", "5", "--R", "1", "--B", "2",
+                         "--M", "1", "2", "--cache-dir", str(tmp_path))
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert "p = 23 must not divide delta = -23" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["coeffs", *sorted(WARM_COMMANDS)])
+def test_undecodable_cache_header_is_skipped(capsys, tmp_path, name):
+    # a first line that is not UTF-8 is not a qser header: lookups skip it
+    argv = {"coeffs": ("coeffs", "--function", "omega", "--modulus", "23",
+                       "--upto", "3"), **WARM_COMMANDS}[name]
+    expect = run(capsys, *argv)
+    (tmp_path / "omega_x.qser").write_bytes(b"\xff\xfe\n")
+    assert run(capsys, *argv, "--cache-dir", str(tmp_path)) == expect
+    assert expect[0] == 0 and expect[2] == ""
 
 
 def test_scan_rejects_split_ell_before_building(capsys, tmp_path):
@@ -287,10 +306,18 @@ def test_certify_small(capsys):
     assert rows[1] == ["2", "416", "9", "9", "true"]
 
 
-def test_certify_empty_M(capsys):
-    code, out, _ = run(capsys, "certify", "--delta", "-8", "--r", "4",
-                       "--p", "5", "--ell", "23", "--R", "1", "--B", "2", "--M")
-    assert code == 0 and out.strip() == ""
+def test_certify_empty_M(capsys, tmp_path):
+    # a certify with no rows would certify nothing: --M is required and
+    # needs a value, whatever the twist, and no table is cached
+    for twist in (("--delta", "-15", "--r", "3"), ("--delta", "-8", "--r", "4")):
+        for rows in (("--M",), ()):
+            with pytest.raises(SystemExit) as exc:
+                main(["certify", *twist, "--p", "11", "--ell", "7", "--R", "1",
+                      "--B", "2", "--json", *rows, "--cache-dir", str(tmp_path)])
+            assert exc.value.code == 2, (twist, rows)
+            captured = capsys.readouterr()
+            assert captured.out == "" and "--M" in captured.err, (twist, rows)
+            assert list(tmp_path.iterdir()) == [], (twist, rows)
 
 
 def test_certify_eigenfail_exit_5(capsys):
@@ -390,7 +417,6 @@ def test_phi_zero_normalizer_exit_4(capsys, tmp_path):
         ("phi", *ZERO_TWIST, "--prec", "3"),
         ("heckecheck", *ZERO_TWIST, *ZERO_SETTING, "--p", "11", "--prec", "5"),
         ("scan", *ZERO_TWIST, *ZERO_SETTING, "--bound", "30", "--prec", "5"),
-        ("certify", *ZERO_TWIST, *ZERO_SETTING, "--p", "11"),
         ("certify", *ZERO_TWIST, *ZERO_SETTING, "--p", "11", "--M", "1", "2"),
     ]:
         code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))

@@ -26,7 +26,7 @@ BUILDERS = {"f": f_coeffs, "omega": omega_coeffs}
 def test_builders_commute_with_reduce_mod(which, N, m):
     build = BUILDERS[which]
     exact = Series(EXACT, build(N))
-    assert build(N, Ring(m)) == exact.reduce_mod(m).coeffs
+    assert build(N, Ring(m)) == Series(Ring(m), exact.coeffs).coeffs
 
 
 CALLS = st.lists(
@@ -50,7 +50,7 @@ def test_store_matches_direct_build(cached, calls, m):
             if fresh:
                 tables = MockTables(ring, cache_dir)
             tables.ensure(which, upto)
-            assert tables.depth(which) >= upto
+            assert len(tables.values(which)) > upto
             assert tables.source[which] in ("loaded", "built")
             got = tables.values(which)[: upto + 1]
             assert got == BUILDERS[which](upto, ring)
@@ -111,19 +111,23 @@ def test_b_to_c_to_b(twist, n, m, data):
     assert [b_from_c(back, k, delta, ring) for k in range(1, n + 1)] == b[1:]
 
 
-COEFFS = st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=120)
+COEFFS = st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=2, max_size=120)
 
 
 @settings(deadline=None, max_examples=80)
 @given(F=COEFFS, G=COEFFS, a=st.integers(-10 ** 4, 10 ** 4),
-       p=st.sampled_from([2, 3, 5, 7, 11]), k=st.integers(2, 46),
-       m=st.sampled_from([0, 23, 529]))
-def test_hecke_operator_linear_random(F, G, a, p, k, m):
+       k=st.integers(2, 46), m=st.sampled_from([0, 23, 529]), data=st.data())
+def test_hecke_operator_linear_random(F, G, a, k, m, data):
     """T_p(a F + G) = a T_p F + T_p G."""
     ring = Ring(m) if m else EXACT
     P = min(len(F), len(G))
-    assume(P >= p)
+    # p is drawn among the primes the precision allows, not filtered
+    # afterwards: filtering small lists tripped hypothesis' health check
+    p = data.draw(st.sampled_from([q for q in (2, 3, 5, 7, 11) if q <= P]))
     F, G = Series(ring, F[:P]), Series(ring, G[:P])
-    lhs = hecke_operator(F.scale(a).add(G), p, k)
-    rhs = hecke_operator(F, p, k).scale(a).add(hecke_operator(G, p, k))
+    def scaled(s):
+        return Series(ring, [a * x for x in s.coeffs])
+
+    lhs = hecke_operator(scaled(F).add(G), p, k)
+    rhs = scaled(hecke_operator(F, p, k)).add(hecke_operator(G, p, k))
     assert lhs == rhs

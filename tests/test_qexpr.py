@@ -164,6 +164,16 @@ def test_evaluate_geometric():
     assert evaluate(parse("(1+q)^2"), 4).coeffs == [1, 2, 1, 0]
 
 
+def test_evaluate_negative_and_zero_powers():
+    # a negative power of a non-eta base inverts, then raises to the power
+    assert evaluate(parse("(1-q)^-2"), 6).coeffs == [1, 2, 3, 4, 5, 6]
+    assert evaluate(parse("(1-q)^-2"), 6, Ring(5)).coeffs == [1, 2, 3, 4, 0, 1]
+    assert evaluate(parse("(q-q^2)^-1*q"), 4).coeffs == [1, 1, 1, 1]
+    # a zeroth power is 1, whatever the base
+    assert evaluate(parse("(1+q)^0"), 4).coeffs == [1, 0, 0, 0]
+    assert evaluate(parse("eta(q)^0"), 3, Ring(23)).coeffs == [1, 0, 0]
+
+
 def test_distributivity_random():
     rng = random.Random(321)
     for _ in range(25):

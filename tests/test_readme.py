@@ -1,6 +1,9 @@
+import json
 import re
 import shlex
 from pathlib import Path
+
+import pytest
 
 from qcong import cli
 from qcong.cli import build_parser
@@ -38,3 +41,27 @@ def test_readme_exit_codes_match_cli():
     codes = [int(m) for m in re.findall(r"^\|\s*(\d+)\s*\|", table, re.M)]
     defined = [v for k, v in sorted(vars(cli).items()) if k.startswith("EXIT_")]
     assert codes == sorted(defined)
+
+
+def _schema_keys(command):
+    section = README.read_text(encoding="utf-8").split("\n## JSON output schema\n", 1)[1]
+    fields = re.search(rf"^- `{command}`: `\{{(.*?)\}}`", section, re.M).group(1)
+    return sorted(field.split(":")[0].strip() for field in fields.split(","))
+
+
+@pytest.mark.parametrize("argv", [
+    ("phi", "--delta", "-8", "--r", "4", "--prec", "5", "--modulus", "23"),
+    ("eval", "eta(q)^24", "--prec", "4"),
+], ids=["phi", "eval"])
+def test_readme_json_schema_matches_output(capsys, argv):
+    # `--json` emits exactly the keys the README's schema lists, with the
+    # CSV output's values as decimal strings
+    assert cli.main([*argv]) == 0
+    csv = [line.split(",")[1] for line in capsys.readouterr().out.splitlines()]
+    assert cli.main([*argv, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert sorted(doc) == _schema_keys(argv[0])
+    assert doc["command"] == argv[0] and doc["values"] == csv
+    if "c1" in doc:
+        assert doc["c1"] == "-4"    # c(1) of the twist (-8, 4)
+    assert len(csv) == int(argv[argv.index("--prec") + 1])

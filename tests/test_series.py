@@ -56,10 +56,10 @@ def test_ring_validation():
 def test_add_sub_neg_scale():
     a = Series(EXACT, [1, 1], prec=4)
     b = Series(EXACT, [1, -1], prec=4)
-    assert (a + b).coeffs == [2, 0, 0, 0]
-    assert (-Series(EXACT, [], prec=3)).coeffs == [0, 0, 0]
-    assert Series(EXACT, [1, 1]).scale(3).coeffs == [3, 3]
-    assert (a - b).coeffs == [0, 2, 0, 0]
+    assert a.add(b).coeffs == [2, 0, 0, 0]
+    assert Series(EXACT, [], prec=3).neg().coeffs == [0, 0, 0]
+    assert Series(EXACT, [1, 1]).mul(Series.constant(EXACT, 3, 2)).coeffs == [3, 3]
+    assert a.sub(b).coeffs == [0, 2, 0, 0]
 
 
 def test_add_mismatches():
@@ -184,10 +184,9 @@ def test_eisenstein_hasse_congruence(ell):
 
 
 def test_reduce_mod():
-    s = Series(EXACT, [-1, 0, 24])
-    assert s.reduce_mod(23).coeffs == [22, 0, 1]
-    with pytest.raises(RingMismatch):
-        Series(MOD23, [1]).reduce_mod(5)
+    # a series is reduced into Z/m by constructing it over Ring(m)
+    assert Series(MOD23, [-1, 0, 24]).coeffs == [22, 0, 1]
+    assert Series(Ring(5), Series(MOD23, [22, 6]).coeffs).coeffs == [2, 1]
 
 
 def test_reduce_mod_commutes_with_mul():
@@ -195,8 +194,8 @@ def test_reduce_mod_commutes_with_mul():
     for _ in range(30):
         a = rand_series(rng, EXACT, 20)
         b = rand_series(rng, EXACT, 20)
-        assert a.mul(b).reduce_mod(23).coeffs == \
-            a.reduce_mod(23).mul(b.reduce_mod(23)).coeffs
+        assert Series(MOD23, a.mul(b).coeffs) == \
+            Series(MOD23, a.coeffs).mul(Series(MOD23, b.coeffs))
 
 
 def test_ring_axioms_random():
