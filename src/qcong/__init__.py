@@ -68,7 +68,6 @@ from .qexpr import (
     PoleAtOrigin,
     evaluate,
     parse,
-    print_expr,
 )
 
 __version__ = "0.1.0"

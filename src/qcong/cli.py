@@ -17,7 +17,7 @@ from .borcherds import (
     EigenData,
     TwistParams,
     ZeroNormalizer,
-    exact_c1,
+    _normalizer,
     phi_star,
     predict_coefficient,
 )
@@ -44,43 +44,36 @@ def _emit_json(obj):
     print(json.dumps(obj, sort_keys=True))
 
 
+def _emit_values(args, doc, values, start=0):
+    """A table of values: JSON `doc` plus "values", or one `n,value` line each."""
+    if args.json:
+        _emit_json({"command": args.command, **doc,
+                    "values": [str(v) for v in values]})
+    else:
+        for n, v in enumerate(values, start=start):
+            print(f"{n},{v}")
+    return EXIT_OK
+
+
 def cmd_coeffs(args) -> int:
     tables = MockTables(Ring(args.modulus), _cache_dir(args))
     tables.ensure(args.function, args.upto)
-    values = tables.values(args.function)[: args.upto + 1]
-    if args.json:
-        _emit_json({
-            "command": "coeffs", "function": args.function,
-            "modulus": args.modulus, "upto": args.upto,
-            "values": [str(v) for v in values],
-        })
-    else:
-        for n, v in enumerate(values):
-            print(f"{n},{v}")
-    return EXIT_OK
+    return _emit_values(args, {"function": args.function, "modulus": args.modulus,
+                               "upto": args.upto},
+                        tables.values(args.function)[: args.upto + 1])
 
 
 def cmd_phi(args) -> int:
     params = TwistParams(args.delta, args.r)
-    c1 = exact_c1(params)
-    if c1 == 0:  # checked before the cache is looked at
-        raise ZeroNormalizer(f"degenerate normalizer: c(1) = 0 for the twist "
-                             f"({args.delta}, {args.r})")
+    c1 = _normalizer(params)  # checked before the cache is looked at
     values, _ = cache.load_or_build(
         _cache_dir(args), "phi_star", args.modulus, args.prec,
         lambda: phi_star(params, args.prec, Ring(args.modulus)).coeffs[1:],
         args.delta, args.r)
-    values = values[: args.prec]  # a text file decodes whole
-    if args.json:
-        _emit_json({
-            "command": "phi", "delta": args.delta, "r": args.r,
-            "modulus": args.modulus, "prec": args.prec, "c1": str(c1),
-            "values": [str(v) for v in values],
-        })
-    else:
-        for n, v in enumerate(values, start=1):
-            print(f"{n},{v}")
-    return EXIT_OK
+    return _emit_values(args, {"delta": args.delta, "r": args.r,
+                               "modulus": args.modulus, "prec": args.prec,
+                               "c1": str(c1)},
+                        values[: args.prec], start=1)  # a text file decodes whole
 
 
 def cmd_heckecheck(args) -> int:
@@ -137,16 +130,9 @@ def cmd_certify(args) -> int:
 
 def cmd_eval(args) -> int:
     series = evaluate(parse(args.expression), args.prec, Ring(args.modulus))
-    if args.json:
-        _emit_json({
-            "command": "eval", "expression": args.expression,
-            "modulus": args.modulus, "prec": args.prec,
-            "values": [str(v) for v in series.coeffs],
-        })
-    else:
-        for n, v in enumerate(series.coeffs):
-            print(f"{n},{v}")
-    return EXIT_OK
+    return _emit_values(args, {"expression": args.expression,
+                               "modulus": args.modulus, "prec": args.prec},
+                        series.coeffs)
 
 
 def cmd_scan(args) -> int:

@@ -33,12 +33,10 @@ def hecke_operator(g: Series, p: int, k: int) -> Series:
         raise InsufficientPrecision(f"precision {g.prec} too small for T_{p}")
     m = g.ring.modulus
     pk1 = pow(p, k - 1, m) if m else p ** (k - 1)
-    out = [0] * out_prec
-    for n in range(out_prec):
-        v = g.coeffs[p * n]
-        if n % p == 0:
-            v += pk1 * g.coeffs[n // p]
-        out[n] = v % m if m else v
+    a = g.coeffs
+    out = [a[p * n] for n in range(out_prec)]
+    for n in range(0, out_prec, p):
+        out[n] += pk1 * a[n // p]
     return Series(g.ring, out)
 
 
@@ -174,8 +172,10 @@ def eigencheck(params: TwistParams, setting: CongruenceSetting, p: int,
 def density_scan(params: TwistParams, setting: CongruenceSetting,
                  prime_bound: int, prec: int, tables: MockTables = None) -> list:
     """Classify every prime p <= prime_bound (p not in {2, 3, ell}) by its
-    eigen behaviour mod ell^R: lambda = 0, lambda = 2, lambda = b(p), or
-    'other' with the first residual index.
+    eigen behaviour mod ell^R.  (Phi*|T_p)(1) = b(p) and b(1) = 1, so
+    lambda = b(p) is the only eigenvalue that can hold; a passing prime is
+    labelled '0', '2' or 'b(p)' by that value, a failing one 'other' with
+    the first residual index.
 
     Returns rows (p, classification, lambda, first_failure) in prime order.
     """
@@ -188,11 +188,10 @@ def density_scan(params: TwistParams, setting: CongruenceSetting,
     b = phi_star(params, max_depth, ring, tables).coeffs
 
     def classify(p):
-        for lam, label in ((0, "0"), (2, "2"), (b[p], "b(p)")):
-            first = _first_residual(b, p, setting.k, lam, prec, ring)
-            if first is None:
-                return (p, label, lam, None)
-        return (p, "other", b[p], first)
+        first = _first_residual(b, p, setting.k, b[p], prec, ring)
+        if first is not None:
+            return (p, "other", b[p], first)
+        return (p, {0: "0", 2: "2"}.get(b[p], "b(p)"), b[p], None)
 
     return [classify(p) for p in primes]
 
@@ -209,6 +208,8 @@ def multiplicativity_check(phi: Series, bound: int, k: int,
     """
     b = phi.coeffs
     m = phi.ring.modulus
+    if not m:
+        raise ValueError("the identities are checked mod ell^R; phi is exact")
     if len(b) <= max(bound, recursion_bound or 0):
         raise InsufficientPrecision("phi not built deep enough")
     for m1 in range(1, bound + 1):

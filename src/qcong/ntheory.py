@@ -256,7 +256,6 @@ __all__ = [
     "divisors",
     "factorize",
     "gauss_sum_numeric",
-    "gcd",
     "is_fundamental_discriminant",
     "is_prime",
     "kronecker",

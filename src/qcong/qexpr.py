@@ -5,10 +5,12 @@ Grammar (whitespace-insensitive):
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
-    factor := '-' factor | atom ('^' int)?
+    factor := '-' factor | 'q' '^' posint | atom ('^' int)?
     atom   := 'eta' '(' 'q' ('^' posint)? ')'
             | 'E' posint '(' 'q' ('^' posint)? ')'
-            | int | 'q' ('^' posint)? | '(' expr ')'
+            | int | 'q' | '(' expr ')'
+
+A factor admits a single caret: q^2^3 is a syntax error, (q^2)^3 is q^6.
 
 Eisenstein weights must be even and positive.  Fractional eta exponents are
 tracked in 24ths; the net exponent of a full expression must be an integer,
@@ -190,6 +192,8 @@ class _Parser:
         node = self.atom()
         if self.peek()[0] == "^":
             self.advance()
+            if self.tokens[self.pos - 2][1] == "q":  # q^k takes the one caret
+                return QMonomial(self.posint("positive integer exponent"))
             node = Pow(node, self.signed_int())
         return node
 
@@ -232,9 +236,6 @@ class _Parser:
         if kind == "NAME":
             self.advance()
             if value == "q":
-                if self.peek()[0] == "^":
-                    self.advance()
-                    return QMonomial(self.posint("positive integer exponent"))
                 return QMonomial(1)
             if value == "eta":
                 self.expect("(", {"'('"})
@@ -259,40 +260,6 @@ class _Parser:
 def parse(text: str):
     """Parse an expression into its AST."""
     return _Parser(text).parse()
-
-
-# ------------------------------------------------------------------ printer
-
-def print_expr(node) -> str:
-    def render(n, parent_prec):
-        if isinstance(n, IntConst):
-            s = str(n.value)
-            return f"({s})" if n.value < 0 and parent_prec >= 3 else s
-        if isinstance(n, QMonomial):
-            if n.exponent == 1:
-                return "q"
-            s = f"q^{n.exponent}"
-            # a factor admits a single caret, so q^k as a power base
-            # must be parenthesized
-            return f"({s})" if parent_prec >= 3 else s
-        if isinstance(n, Eta):
-            arg = "q" if n.scale == 1 else f"q^{n.scale}"
-            return f"eta({arg})"
-        if isinstance(n, Eis):
-            arg = "q" if n.scale == 1 else f"q^{n.scale}"
-            return f"E{n.weight}({arg})"
-        if isinstance(n, Pow):
-            s = f"{render(n.base, 4)}^{n.exponent}"
-            return f"({s})" if parent_prec >= 4 else s
-        ops = {Add: ("+", 1), Sub: ("-", 1), Mul: ("*", 2), Div: ("/", 2)}
-        sym, prec = ops[type(n)]
-        left = render(n.left, prec)
-        # the right side of '-' and '/' binds tighter
-        right = render(n.right, prec + (0 if type(n) in (Add, Mul) else 1))
-        out = f"{left}{sym}{right}"
-        return f"({out})" if prec < parent_prec else out
-
-    return render(node, 0)
 
 
 # ---------------------------------------------------------------- evaluator
@@ -476,5 +443,5 @@ def evaluate(ast, prec: int, ring: Ring = EXACT) -> Series:
 __all__ = [
     "Add", "Div", "Eis", "Eta", "ExprSyntaxError", "IntConst", "Mul",
     "NonIntegralExponent", "NonUnitDenominator", "PoleAtOrigin", "Pow",
-    "QMonomial", "Sub", "evaluate", "parse", "print_expr",
+    "QMonomial", "Sub", "evaluate", "parse",
 ]

@@ -74,9 +74,10 @@ def binomial_inverse_inplace(coeffs: list, step: int, sign: int,
 
     Each exponent unit is one O(len) recurrence pass c[n] += sign*c[n-step],
     realised as a cumulative sum along every residue lane mod step (with an
-    alternating twist when sign = -1).  Pairs of sign=+1 passes are fused
-    into a single double cumulative sum.  For sign=+1 the sums are reduced
-    mod m as they stream out, so no unreduced lane is ever held in memory.
+    alternating twist when sign = -1).  Pairs of passes are fused into a
+    single double cumulative sum; the twist is a ring automorphism, so this
+    holds for either sign.  For sign=+1 the sums are reduced mod m as they
+    stream out, so no unreduced lane is ever held in memory.
     """
     if step < 1 or exponent < 1 or sign not in (1, -1):
         raise ValueError("need step >= 1, exponent >= 1, sign = +-1")
@@ -84,7 +85,7 @@ def binomial_inverse_inplace(coeffs: list, step: int, sign: int,
         return
     remaining = exponent
     while remaining > 0:
-        double = remaining >= 2 and sign == 1
+        double = remaining >= 2
         for r in range(step):
             lane = coeffs[r::step]
             if sign == -1:
@@ -98,7 +99,7 @@ def binomial_inverse_inplace(coeffs: list, step: int, sign: int,
         remaining -= 2 if double else 1
 
 
-def _convolve(a: list, b: list, out_len: int, modulus: int) -> list:
+def _convolve(a: list, b: list, out_len: int) -> list:
     la, lb = len(a), len(b)
     out = []
     for n in range(out_len):
@@ -107,7 +108,7 @@ def _convolve(a: list, b: list, out_len: int, modulus: int) -> list:
         s = 0
         for i in range(lo, hi + 1):
             s += a[i] * b[n - i]
-        out.append(s % modulus if modulus else s)
+        out.append(s)
     return out
 
 
@@ -173,28 +174,19 @@ class Series:
 
     def add(self, other: "Series") -> "Series":
         self._join(other)
-        P = min(self.prec, other.prec)
-        m = self.ring.modulus
-        if m:
-            c = [(x + y) % m for x, y in zip(self.coeffs, other.coeffs)]
-        else:
-            c = [x + y for x, y in zip(self.coeffs, other.coeffs)]
-        return Series(self.ring, c[:P])
+        return Series(self.ring, [x + y for x, y in zip(self.coeffs, other.coeffs)])
 
     def sub(self, other: "Series") -> "Series":
         return self.add(other.neg())
 
     def neg(self) -> "Series":
-        m = self.ring.modulus
-        c = [(-x) % m for x in self.coeffs] if m else [-x for x in self.coeffs]
-        return Series(self.ring, c)
+        return Series(self.ring, [-x for x in self.coeffs])
 
     def mul(self, other: "Series") -> "Series":
         """Truncated Cauchy product, to the smaller of the two precisions."""
         self._join(other)
         P = min(self.prec, other.prec)
-        conv = _convolve(self.coeffs, other.coeffs, P, self.ring.modulus)
-        return Series(self.ring, conv)
+        return Series(self.ring, _convolve(self.coeffs, other.coeffs, P))
 
     def pow(self, n: int) -> "Series":
         if n < 0:
@@ -316,17 +308,13 @@ def eisenstein(k: int, prec: int, ring: Ring) -> Series:
                 f"Eisenstein factor -2k/B_k = {factor} is not an integer"
             )
         f = factor.numerator
-    coeffs = [0] * prec
-    coeffs[0] = 1
     # Sieve the divisor powers: d contributes d^(k-1) to every multiple.
     powers = [0] * prec
     for d in range(1, prec):
         pd = pow(d, k - 1, m) if m else d ** (k - 1)
         for n in range(d, prec, d):
             powers[n] += pd
-    for n in range(1, prec):
-        coeffs[n] = powers[n] * f % m if m else powers[n] * f
-    return Series(ring, coeffs)
+    return Series(ring, [1] + [v * f for v in powers[1:]], prec=prec)
 
 
 __all__ = [

@@ -376,6 +376,9 @@ def test_eval_errors_exit_2(capsys):
     assert code == 2 and "ExprSyntaxError" in err
     code, out, err = run(capsys, "eval", "eta(q) + 1", "--prec", "5")
     assert code == 2 and out == "" and "ExponentMismatch" in err
+    # a factor admits a single caret: q^2^3 is not read as (q^2)^3
+    code, out, err = run(capsys, "eval", "q^2^3", "--prec", "10")
+    assert code == 2 and out == "" and "ExprSyntaxError" in err
 
 
 def test_scan(capsys):

@@ -193,6 +193,14 @@ def test_multiplicativity_detects_corruption(tables_mod5):
     assert not ok and witness[0] == "multiplicativity"
 
 
+@pytest.mark.parametrize("recursion_bound", [None, 20])
+def test_multiplicativity_rejects_exact_series(recursion_bound):
+    # the identities are checked mod ell^R, so an exact series is refused
+    phi = phi_star(PARAMS_84, 30, EXACT)
+    with pytest.raises(ValueError, match="exact"):
+        multiplicativity_check(phi, 10, k=46, recursion_bound=recursion_bound)
+
+
 def test_recursion_lambda_zero(tables_mod23):
     # lambda = 0 forces b(p^2) = -p^(k-1)
     phi = phi_star(PARAMS_84, 30, Ring(23), tables_mod23)
@@ -201,10 +209,11 @@ def test_recursion_lambda_zero(tables_mod23):
 
 def test_density_scan(tables_mod23):
     rows = density_scan(PARAMS_84, SETTING_23, 30, 10, tables_mod23)
-    by_p = {p: (label, lam) for p, label, lam, _ in rows}
-    assert by_p[5] == ("0", 0)
-    assert 2 not in by_p and 3 not in by_p and 23 not in by_p
-    assert [p for p, *_ in rows] == sorted(by_p)
+    assert rows == [
+        (5, "0", 0, None), (7, "other", 7, 2), (11, "other", 18, 2),
+        (13, "other", 12, 2), (17, "other", 18, 2), (19, "2", 2, None),
+        (29, "other", 7, 2),
+    ]
     assert density_scan(PARAMS_84, SETTING_23, 4, 10, tables_mod23) == []
 
 
@@ -212,7 +221,9 @@ def test_density_scan_mod5_eigenform(tables_mod5):
     # mod 5 the expansion behaves like an eigenform: no prime is 'other'
     setting = CongruenceSetting(5, 1, 2)
     rows = density_scan(PARAMS_84, setting, 30, 8, tables_mod5)
-    assert rows
-    for p, label, lam, fail in rows:
-        assert label in ("0", "2", "b(p)"), (p, label, fail)
+    assert rows == [
+        (7, "b(p)", 1, None), (11, "0", 0, None), (13, "2", 2, None),
+        (17, "b(p)", 1, None), (19, "b(p)", 1, None), (23, "0", 0, None),
+        (29, "b(p)", 4, None),
+    ]
 

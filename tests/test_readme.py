@@ -1,14 +1,11 @@
 import json
 import re
-import shlex
-from pathlib import Path
 
 import pytest
 
 from qcong import cli
 from qcong.cli import build_parser
-
-README = Path(__file__).resolve().parents[1] / "README.md"
+from readme_quick_start import README, quick_start_commands
 
 
 def test_readme_library_block_runs():
@@ -21,12 +18,8 @@ def test_readme_library_block_runs():
 
 def test_readme_quick_start_parses():
     # every `qcong ...` line of the Quick start block is a valid command
-    # line; the commands are parsed, never run
-    section = README.read_text(encoding="utf-8").split("\n## Quick start\n", 1)[1]
-    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
-    lines = re.sub(r"\\\n\s*", " ", block).splitlines()
-    commands = [shlex.split(line, comments=True) for line in lines]
-    commands = [argv for argv in commands if argv and argv[0] == "qcong"]
+    # line; here the commands are parsed, and CI runs them
+    commands = quick_start_commands()
     assert len(commands) >= 10
     parser = build_parser()
     for argv in commands:

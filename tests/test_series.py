@@ -110,6 +110,8 @@ def test_mul_binomial_inverse():
     assert mul_binomial_inverse(one, 1, 1, 1) == [1] * 8
     assert mul_binomial_inverse(one, 2, 1, 2) == [1, 0, 2, 0, 3, 0, 4, 0]
     assert mul_binomial_inverse(one, 1, -1, 1) == [1, -1, 1, -1, 1, -1, 1, -1]
+    # (1+q)^-2 = sum (-1)^n (n+1) q^n: the fused double pass with sign -1
+    assert mul_binomial_inverse(one, 1, -1, 2) == [1, -2, 3, -4, 5, -6, 7, -8]
     # matches the generic route a * invert(1 - sign q^step)^e
     rng = random.Random(5)
     for ring in (EXACT, MOD23):
