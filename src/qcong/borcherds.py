@@ -2,7 +2,7 @@
 products, the divisor-sum transforms between b- and c-coefficients, a
 complex-numeric oracle for the raw expansion, and congruence predictors."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .mocktheta import MockTables, c_plus, c_series, cplus_entry
@@ -22,8 +22,9 @@ class ZeroNormalizer(ValueError):
     """c(1) = 0: the expansion cannot be normalized."""
 
 
-class NonDivisible(ArithmeticError):
-    """An exact-ring division that must be exact is not; upstream bug."""
+class NonDivisible(ValueError):
+    """An exact-ring quotient is not an integer: the twist's expansion has
+    rational coefficients, which the exact integer ring cannot hold."""
 
 
 @dataclass
@@ -40,19 +41,13 @@ class TwistParams:
                              f"got r = {self.r}")
 
 
-def _exact_div(num: int, den: int) -> int:
-    q, rem = divmod(num, den)
-    if rem:
-        raise NonDivisible(f"{num} is not divisible by {den}")
-    return q
-
-
 def b_from_c(c: list, n: int, delta: int, ring: Ring) -> int:
     """b(n) = (1/c(1)) * sum_{d|n} c(d) * d * (delta / (n/d)).
 
     Valid for all n: the Kronecker symbol of a fundamental discriminant
     vanishes on shared factors, so the gcd(n, delta) > 1 boundary takes
-    care of itself.  In the exact ring the division by c(1) must be exact.
+    care of itself.  In the exact ring a sum that c(1) does not divide
+    raises NonDivisible.
     """
     total = 0
     for d in divisors(n):
@@ -61,7 +56,10 @@ def b_from_c(c: list, n: int, delta: int, ring: Ring) -> int:
             total += c[d] * d * chi
     if ring.modulus:
         return total * ring.inverse(c[1]) % ring.modulus
-    return _exact_div(total, c[1])
+    q, rem = divmod(total, c[1])
+    if rem:
+        raise NonDivisible(f"b({n}) = {total}/{c[1]} is not an integer")
+    return q
 
 
 def c_from_b(b: list, n: int, delta: int, c1: int, ring: Ring) -> int:
@@ -76,7 +74,10 @@ def c_from_b(b: list, n: int, delta: int, c1: int, ring: Ring) -> int:
                 total += b[d] * mu * chi
     if ring.modulus:
         return total * c1 * ring.inverse(n) % ring.modulus
-    return _exact_div(total * c1, n)
+    q, rem = divmod(total * c1, n)
+    if rem:
+        raise NonDivisible(f"c({n}) = {total * c1}/{n} is not an integer")
+    return q
 
 
 def exact_c1(params: TwistParams) -> int:
@@ -166,20 +167,18 @@ class EigenData:
     setting: object
     p: int
     lam: int
-    _powers: list = field(default_factory=list, repr=False)
 
     def __post_init__(self):
         check_prime(self.p, self.setting.ell)
 
     def b_power(self, j: int) -> int:
+        """b(p^j) mod ell^R by b(p^(i+1)) = lam b(p^i) - p^(k-1) b(p^(i-1))."""
         m = self.setting.modulus
-        if not self._powers:
-            self._powers.extend([1 % m, self.lam % m])
         pk1 = pow(self.p, self.setting.k - 1, m)
-        while len(self._powers) <= j:
-            nxt = (self.lam * self._powers[-1] - pk1 * self._powers[-2]) % m
-            self._powers.append(nxt)
-        return self._powers[j]
+        prev, cur = 0, 1 % m
+        for _ in range(j):
+            prev, cur = cur, (self.lam * cur - pk1 * prev) % m
+        return cur
 
 
 def predict_coefficient(params: TwistParams, M: int, eigen: EigenData) -> tuple:

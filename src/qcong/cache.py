@@ -13,9 +13,10 @@ A cache file is a JSON header line followed by the payload:
     line holding a JSON array.
 
 Header fields: format, encoding, function (f | omega | phi_star), delta, r,
-modulus, prec, created.  For the index-0 functions f and omega the payload
-has prec + 1 entries (indices 0..prec); for phi_star it has prec entries
-(indices 1..prec).
+modulus, prec.  For the index-0 functions f and omega the payload has
+prec + 1 entries (indices 0..prec); for phi_star it has prec entries
+(indices 1..prec).  A file depends only on its table, so every writer of
+one table writes the same bytes.
 
 Files are written under a temporary name in the target directory and then
 renamed into place, so a reader never sees a partly written file.
@@ -27,7 +28,6 @@ import os
 import struct
 import sys
 from array import array
-from datetime import datetime, timezone
 from pathlib import Path
 
 MAGIC = b"QSER1"
@@ -72,7 +72,6 @@ def save_coeffs(directory, function: str, values: list, modulus: int,
         "r": r,
         "modulus": modulus,
         "prec": prec,
-        "created": datetime.now(timezone.utc).isoformat(),
     }
     path = directory / _file_name(function, modulus, prec, delta, r)
     head = json.dumps(header, sort_keys=True).encode() + b"\n"

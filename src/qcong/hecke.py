@@ -217,7 +217,10 @@ def multiplicativity_check(phi: Series, bound: int, k: int,
             if gcd(m1, n1) == 1 and b[m1] * b[n1] % m != b[m1 * n1]:
                 return False, ("multiplicativity", m1, n1)
     if recursion_bound:
-        ell = _modulus_prime(m)
+        fac = factorize(m)
+        if len(fac) != 1:
+            raise ValueError("modulus must be a prime power")
+        ell = next(iter(fac))
         for p in primes_up_to(recursion_bound):
             if p in (2, 3, ell):
                 continue
@@ -230,13 +233,6 @@ def multiplicativity_check(phi: Series, bound: int, k: int,
                     return False, ("recursion", p, j)
                 j += 1
     return True, None
-
-
-def _modulus_prime(m: int) -> int:
-    fac = factorize(m)
-    if len(fac) != 1:
-        raise ValueError("modulus must be a prime power")
-    return next(iter(fac))
 
 
 __all__ = [

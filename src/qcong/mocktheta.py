@@ -2,12 +2,18 @@
 dictionary mapping twisted index pairs to signed f/omega coefficients,
 which only `cplus_entry` reads: every other caller goes through it."""
 
+from math import isqrt
+
 from . import cache
 from .series import EXACT, Ring, binomial_inverse_inplace
 
 
 # Power of (-q;q)_n in the denominator of f's summands.
 F_DENOMINATOR_EXPONENT = 1
+
+# Deepest table index MockTables will hold: past a_omega(6510416), the
+# paper's M = 5 row, and short of its M = 6 row at 162760416.
+MAX_TABLE_INDEX = 10 ** 8
 
 
 def omega_coeffs(N: int, ring: Ring = EXACT) -> list:
@@ -22,9 +28,7 @@ def omega_coeffs(N: int, ring: Ring = EXACT) -> list:
     if N < 0:
         raise ValueError("N must be nonnegative")
     m = ring.modulus
-    n = 0
-    while 2 * (n + 1) * (n + 2) <= N:
-        n += 1
+    n = (isqrt(2 * N + 1) - 1) // 2  # the largest n with 2n(n+1) <= N
     t = [1] + [0] * (N - 2 * n * (n + 1))
     while True:
         binomial_inverse_inplace(t, 2 * n + 1, 1, 2, m)
@@ -46,9 +50,7 @@ def f_coeffs(N: int, ring: Ring = EXACT) -> list:
     if N < 0:
         raise ValueError("N must be nonnegative")
     m = ring.modulus
-    n = 0
-    while (n + 1) * (n + 1) <= N:
-        n += 1
+    n = isqrt(N)
     t = [1] + [0] * (N - n * n)
     while n:
         binomial_inverse_inplace(t, n, -1, F_DENOMINATOR_EXPONENT, m)
@@ -68,7 +70,8 @@ class MockTables:
     file covering `upto` (a binary file only through index `upto`), else a
     build that is then saved.  Growing reads or rebuilds again, so callers
     should ensure the maximum depth up front.  `source[which]` is "loaded",
-    "built" or None (not yet needed).  A negative `upto` is a ValueError.
+    "built" or None (not yet needed).  A negative `upto`, or one above
+    MAX_TABLE_INDEX, is a ValueError.
     """
 
     def __init__(self, ring: Ring = EXACT, cache_dir=None):
@@ -80,6 +83,8 @@ class MockTables:
     def ensure(self, which: str, upto: int):
         if upto < 0:
             raise ValueError(f"table index {upto} must be nonnegative")
+        if upto > MAX_TABLE_INDEX:
+            raise ValueError(f"table index {upto} is above the limit {MAX_TABLE_INDEX}")
         if len(self._tables[which]) > upto:
             return self
         self._tables[which], self.source[which] = cache.load_or_build(
@@ -164,6 +169,7 @@ def c_series(delta: int, r: int, D: int, ring: Ring,
 
 __all__ = [
     "CPLUS_DISPATCH",
+    "MAX_TABLE_INDEX",
     "MockTables",
     "c_plus",
     "c_series",

@@ -86,18 +86,7 @@ def divisors(n: int) -> list:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    f = 5
-    while f * f <= n:
-        if n % f == 0 or n % (f + 2) == 0:
-            return False
-        f += 6
-    return True
+    return n > 1 and factorize(n) == {n: 1}
 
 
 def primes_up_to(n: int) -> list:
@@ -116,8 +105,6 @@ def moebius(n: int) -> int:
     """Moebius function; 0 exactly when n is not squarefree."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n == 1:
-        return 1
     sign = 1
     for e in factorize(n).values():
         if e > 1:
@@ -136,10 +123,6 @@ def mod_inverse(a: int, m: int) -> int:
         raise NotInvertible(f"{a} is not invertible mod {m}") from None
 
 
-def _squarefree(n: int) -> bool:
-    return all(e == 1 for e in factorize(n).values()) if abs(n) > 1 else True
-
-
 def is_fundamental_discriminant(d: int) -> bool:
     """True iff d is a fundamental discriminant (either sign, d != 0).
 
@@ -149,10 +132,10 @@ def is_fundamental_discriminant(d: int) -> bool:
     if d == 0:
         raise ValueError("0 is not a discriminant")
     if d % 4 == 1:
-        return _squarefree(d)
+        return moebius(abs(d)) != 0
     if d % 4 == 0:
         m = d // 4
-        return m % 4 in (2, 3) and _squarefree(m)
+        return m % 4 in (2, 3) and moebius(abs(m)) != 0
     return False
 
 

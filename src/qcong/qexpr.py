@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from .series import (
     EXACT,
     ExponentMismatch,
-    NonUnitConstantTerm,
     Ring,
     Series,
     eisenstein,
@@ -212,15 +211,18 @@ class _Parser:
             raise ExprSyntaxError(f"{what} must be >= 1", tok[2], {what})
         return value
 
-    def q_scale(self) -> int:
-        """Parse 'q' with an optional '^' posint inside a function argument."""
+    def q_argument(self) -> int:
+        """Parse a function argument '(' 'q' ('^' posint)? ')'; returns the scale."""
+        self.expect("(", {"'('"})
         tok = self.expect("NAME", {"'q'"})
         if tok[1] != "q":
             raise ExprSyntaxError(f"unexpected {tok[1]!r}", tok[2], {"'q'"})
+        scale = 1
         if self.peek()[0] == "^":
             self.advance()
-            return self.posint("positive integer scale")
-        return 1
+            scale = self.posint("positive integer scale")
+        self.expect(")", {"')'"})
+        return scale
 
     def atom(self):
         tok = self.peek()
@@ -238,19 +240,13 @@ class _Parser:
             if value == "q":
                 return QMonomial(1)
             if value == "eta":
-                self.expect("(", {"'('"})
-                scale = self.q_scale()
-                self.expect(")", {"')'"})
-                return Eta(scale)
+                return Eta(self.q_argument())
             if value.startswith("E") and value[1:].isdigit():
                 weight = int(value[1:])
                 if weight < 2 or weight % 2:
                     raise ExprSyntaxError("Eisenstein weight must be even and positive",
                                           off, {"even positive weight"})
-                self.expect("(", {"'('"})
-                scale = self.q_scale()
-                self.expect(")", {"')'"})
-                return Eis(weight, scale)
+                return Eis(weight, self.q_argument())
             raise ExprSyntaxError(f"unknown name {value!r}", off,
                                   {"'eta'", "'E<weight>'", "'q'"})
         raise ExprSyntaxError(f"unexpected {value or 'end of input'!r}", off,
@@ -263,10 +259,6 @@ def parse(text: str):
 
 
 # ---------------------------------------------------------------- evaluator
-
-def _sparse_pairs(coeffs: list) -> list:
-    return [(j, s) for j, s in enumerate(coeffs) if s]
-
 
 def _sparse_mul(dense: list, pairs: list, modulus: int) -> list:
     L = len(dense)
@@ -360,7 +352,7 @@ def _invert_with_valuation(val: _Val, ring: Ring) -> _Val:
 def _eval(node, prec: int, ring: Ring) -> _Val:
     m = ring.modulus
     if isinstance(node, IntConst):
-        return _Val(Series.constant(ring, node.value, prec), 0)
+        return _Val(Series(ring, [node.value], prec=prec), 0)
     if isinstance(node, QMonomial):
         return _Val(Series.monomial(ring, node.exponent, prec), 0)
     if isinstance(node, Eta):
@@ -376,7 +368,7 @@ def _eval(node, prec: int, ring: Ring) -> _Val:
         return _Val(Series(ring, coeffs), 0)
     if isinstance(node, (Add, Sub)):
         a, b = _align(_eval(node.left, prec, ring), _eval(node.right, prec, ring))
-        s = a.series.add(b.series) if isinstance(node, Add) else a.series.sub(b.series)
+        s = a.series.add(b.series if isinstance(node, Add) else b.series.neg())
         return _Val(s, a.off24)
     if isinstance(node, Mul):
         a = _eval(node.left, prec, ring)
@@ -389,9 +381,10 @@ def _eval(node, prec: int, ring: Ring) -> _Val:
     if isinstance(node, Pow):
         e = node.exponent
         if e == 0:
-            return _Val(Series.one(ring, prec), 0)
+            return _Val(Series(ring, [1], prec=prec), 0)
         if isinstance(node.base, Eta):
-            pairs = _sparse_pairs(pentagonal_coefficients(node.base.scale, prec))
+            pent = pentagonal_coefficients(node.base.scale, prec)
+            pairs = [(j, s) for j, s in enumerate(pent) if s]
             coeffs = [1] + [0] * (prec - 1)
             op = _sparse_mul if e > 0 else _sparse_div
             for _ in range(abs(e)):
@@ -415,10 +408,7 @@ def evaluate(ast, prec: int, ring: Ring = EXACT) -> Series:
         raise ValueError("prec must be positive")
     pad = _slack24(ast) // 24 + 1
     for _ in range(4):
-        try:
-            val = _eval(ast, prec + pad, ring)
-        except NonUnitConstantTerm as exc:
-            raise NonUnitDenominator(str(exc)) from exc
+        val = _eval(ast, prec + pad, ring)
         if val.off24 % 24:
             raise NonIntegralExponent(
                 f"net exponent {val.off24}/24 is not an integer"
@@ -435,7 +425,7 @@ def evaluate(ast, prec: int, ring: Ring = EXACT) -> Series:
         elif shift > 0:
             series = series.shifted(shift)
         if series.prec >= prec:
-            return series.truncate(prec)
+            return Series(ring, series.coeffs[:prec])
         pad += prec - series.prec
     raise RuntimeError("internal precision bookkeeping failed to converge")
 

@@ -142,14 +142,6 @@ class Series:
         return len(self.coeffs)
 
     @classmethod
-    def one(cls, ring: Ring, prec: int) -> "Series":
-        return cls(ring, [1], prec=prec)
-
-    @classmethod
-    def constant(cls, ring: Ring, value: int, prec: int) -> "Series":
-        return cls(ring, [value], prec=prec)
-
-    @classmethod
     def monomial(cls, ring: Ring, exponent: int, prec: int, coeff: int = 1) -> "Series":
         c = [0] * prec
         if exponent < prec:
@@ -176,9 +168,6 @@ class Series:
         self._join(other)
         return Series(self.ring, [x + y for x, y in zip(self.coeffs, other.coeffs)])
 
-    def sub(self, other: "Series") -> "Series":
-        return self.add(other.neg())
-
     def neg(self) -> "Series":
         return Series(self.ring, [-x for x in self.coeffs])
 
@@ -191,7 +180,7 @@ class Series:
     def pow(self, n: int) -> "Series":
         if n < 0:
             raise ValueError("negative powers go through invert()")
-        result = Series.one(self.ring, self.prec)
+        result = Series(self.ring, [1], prec=self.prec)
         base = self
         while n:
             if n & 1:
@@ -229,11 +218,6 @@ class Series:
         if self.prec + s < 1:
             raise ValueError("negative shift exhausts the precision")
         return Series(self.ring, self.coeffs[-s:])
-
-    def truncate(self, prec: int) -> "Series":
-        if prec > self.prec:
-            raise ValueError("cannot truncate to higher precision")
-        return Series(self.ring, self.coeffs[:prec])
 
 
 def pentagonal_coefficients(scale: int, length: int) -> list:

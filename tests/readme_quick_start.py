@@ -1,14 +1,21 @@
 """The `qcong ...` lines of the README's Quick start.
 
-Run as a script, it runs each of them and exits 1 if any exits nonzero:
+Run as a script, it runs the block three times: without a cache, then
+cold and warm against one fresh temporary QCONG_CACHE_DIR.  It exits 1 if
+any command exits nonzero, or if a command's stdout differs between the
+passes; the one allowed difference is `heckecheck`'s `table_source`,
+whose "built" tables read "loaded" on the warm pass:
 
     PYTHONPATH=src python tests/readme_quick_start.py
 """
 
+import json
+import os
 import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -23,13 +30,40 @@ def quick_start_commands() -> list:
     return [argv for argv in commands if argv and argv[0] == "qcong"]
 
 
-def main() -> int:
-    failed = 0
+def run_block(env: dict) -> list:
+    """(exit code, stdout) of each Quick start command, in order."""
+    results = []
     for argv in quick_start_commands():
-        code = subprocess.run([sys.executable, "-m", "qcong.cli", *argv[1:]],
-                              stdout=subprocess.DEVNULL).returncode
-        print(f"exit {code}: {shlex.join(argv)}")
-        failed += code != 0
+        proc = subprocess.run([sys.executable, "-m", "qcong.cli", *argv[1:]],
+                              env=env, stdout=subprocess.PIPE, text=True)
+        results.append((proc.returncode, proc.stdout))
+    return results
+
+
+def warm_stdout(argv: list, cold: str) -> str:
+    """The stdout a warm run should print, given the cold run's."""
+    if argv[1] != "heckecheck":
+        return cold
+    doc = json.loads(cold)
+    doc["table_source"] = {kind: "loaded" if source == "built" else source
+                           for kind, source in doc["table_source"].items()}
+    return json.dumps(doc, sort_keys=True) + "\n"
+
+
+def main() -> int:
+    env = {k: v for k, v in os.environ.items() if k != "QCONG_CACHE_DIR"}
+    uncached = run_block(env)
+    with tempfile.TemporaryDirectory() as cache_dir:
+        env["QCONG_CACHE_DIR"] = cache_dir
+        cold = run_block(env)
+        warm = run_block(env)
+    failed = 0
+    for argv, plain, first, second in zip(quick_start_commands(), uncached, cold, warm):
+        print(f"exit {plain[0]}, {first[0]}, {second[0]}: {shlex.join(argv)}")
+        failed += any(code != 0 for code, _ in (plain, first, second))
+        if first[1] != plain[1] or second[1] != warm_stdout(argv, first[1]):
+            print("  stdout differs between the passes")
+            failed += 1
     return 1 if failed else 0
 
 

@@ -72,6 +72,13 @@ def test_non_divisible():
         c_from_b([0, 1, 0], 2, -23, 1, EXACT)
 
 
+def test_non_divisible_names_the_quotient():
+    # the twist (-56, 4) has c(1) = -24 and a rational b(2)
+    c = c_series(-56, 4, 2, EXACT)
+    with pytest.raises(NonDivisible, match=r"^b\(2\) = 1168/-24 is not an integer$"):
+        b_from_c(c, 2, -56, EXACT)
+
+
 def test_phi_star_values(tables_exact, tables_mod23):
     phi = phi_star(TwistParams(-8, 4), 3, Ring(23), tables_mod23)
     assert phi.coeffs == [0, 1, 17, 1] and phi.ring == Ring(23)
@@ -123,6 +130,15 @@ def test_eigen_data_closed_form():
             assert e.b_power(j) == 0
         else:
             assert e.b_power(j) == pow(-pow(5, k - 1, m), j // 2, m) % m
+
+
+def test_eigen_data_has_no_hidden_state():
+    setting = CongruenceSetting(23, 1, 2)
+    used = EigenData(setting, 5, 0)
+    used.b_power(4)
+    assert used == EigenData(setting, 5, 0)
+    with pytest.raises(TypeError):
+        EigenData(setting, 5, 0, [1, 7])
 
 
 def test_predict_c_consistency():

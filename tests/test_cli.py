@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -77,6 +78,18 @@ def test_coeffs_cache_identical_stdout(capsys, tmp_path):
     assert code2 == 0 and out2 == out1
 
 
+def test_cold_cache_files_are_byte_identical(capsys, tmp_path):
+    # a file depends only on its table, so two cold writers write the same bytes
+    for argv in (("coeffs", "--function", "omega", "--modulus", "23", "--upto", "500"),
+                 ("coeffs", "--function", "f", "--upto", "100")):
+        written = []
+        for side in ("first", "second"):
+            directory = tmp_path / side / argv[2]
+            assert run(capsys, *argv, "--cache-dir", str(directory))[0] == 0
+            written.append({p.name: p.read_bytes() for p in directory.iterdir()})
+        assert len(written[0]) == 1 and written[0] == written[1], argv
+
+
 def test_coeffs_cache_corruption_exit_3(capsys, tmp_path):
     args = ("coeffs", "--function", "omega", "--upto", "20",
             "--cache-dir", str(tmp_path))
@@ -149,6 +162,21 @@ def test_cold_certify_cache_files(capsys, tmp_path):
     assert code == 0 and out.strip().splitlines()[-1] == "3,10416,12,12,true"
     assert sorted(p.name for p in tmp_path.glob("*.qser")) == [
         "omega_mod23_p10416.qser"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("coeffs", "--function", "omega", "--upto", str(10 ** 23)),
+    ("certify", *TWIST, "--p", "5", "--M", "40"),
+], ids=["coeffs", "certify"])
+def test_table_index_above_limit_exit_2(capsys, tmp_path, argv):
+    # refused at once, before any table is built or any cache dir is made
+    cache_dir = tmp_path / "cache"
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--cache-dir", str(cache_dir))
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: ValueError: table index") and "above the limit" in err
+    assert not cache_dir.exists()
 
 
 @pytest.mark.parametrize("name", sorted(WARM_COMMANDS))
@@ -427,6 +455,15 @@ def test_phi_zero_normalizer_exit_4(capsys, tmp_path):
         assert err.startswith("error: ZeroNormalizer:"), argv
         assert len(err.splitlines()) == 1, argv
         assert list(tmp_path.iterdir()) == [], argv
+
+
+def test_phi_rational_expansion_exit_2(capsys, tmp_path):
+    # c(1) = -24 for the twist (-56, 4), and b(2) is not an integer
+    code, out, err = run(capsys, "phi", "--delta", "-56", "--r", "4", "--prec", "3",
+                         "--cache-dir", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err == "error: NonDivisible: b(2) = 1168/-24 is not an integer\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_env_cache_dir(capsys, tmp_path, monkeypatch):

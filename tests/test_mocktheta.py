@@ -5,6 +5,7 @@ import pytest
 from qcong import cache
 from qcong.mocktheta import (
     CPLUS_DISPATCH,
+    MAX_TABLE_INDEX,
     MockTables,
     c_plus,
     c_series,
@@ -179,6 +180,18 @@ def test_builder_depth_boundaries(ring):
             assert builder(N, ring) == full[: N + 1], (builder.__name__, N)
 
 
+def test_builder_closed_form_depths():
+    # Each side of every depth where the deepest summand changes, for n <= 30:
+    # 2n(n+1) for omega, n^2 for f.
+    ring = Ring(23)
+    for builder, edge in ((omega_coeffs, lambda n: 2 * n * (n + 1)),
+                          (f_coeffs, lambda n: n * n)):
+        full = builder(edge(30) + 1, ring)
+        for n in range(1, 31):
+            for N in (edge(n) - 1, edge(n), edge(n) + 1):
+                assert builder(N, ring) == full[: N + 1], (builder.__name__, N)
+
+
 @pytest.mark.parametrize("m", [5, 23])
 def test_modular_matches_exact(m):
     exact = omega_coeffs(2000)
@@ -325,6 +338,13 @@ def test_tables_growth():
     assert len(t.values("omega")) == 17
     t.ensure("omega", 30)  # growth rebuilds to the new depth
     assert t.values("omega") == omega_coeffs(30, Ring(23))
+
+
+def test_tables_refuse_index_above_limit(tmp_path):
+    t = MockTables(Ring(23), tmp_path / "cache")
+    with pytest.raises(ValueError, match="above the limit"):
+        t.ensure("f", MAX_TABLE_INDEX + 1)
+    assert t.source["f"] is None and not (tmp_path / "cache").exists()
 
 
 def test_store_loads_or_builds_once(tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ from qcong.ntheory import (
     divisors,
     gauss_sum_numeric,
     is_fundamental_discriminant,
+    is_prime,
     kronecker,
     mod_inverse,
     moebius,
@@ -163,3 +164,8 @@ def test_gauss_ratio_identity_all_a():
             lhs = gauss_sum_numeric(a, delta)
             rhs = kronecker(delta, a) * g1
             assert abs(lhs - rhs) < 1e-6, (a, delta)
+
+
+def test_is_prime_matches_sieve():
+    primes = set(primes_up_to(10_000))
+    assert [n for n in range(-5, 10_001) if is_prime(n)] == sorted(primes)
