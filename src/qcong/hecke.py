@@ -1,11 +1,12 @@
 """Hecke operators on truncated expansions, Sturm bounds, pole-clearing
 weight bookkeeping, eigencheck certification mod ell^R, prime scans."""
 
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from math import gcd
 
 from .borcherds import TwistParams, check_prime, phi_star
-from .mocktheta import MockTables, required_depth
+from .mocktheta import MAX_TABLE_INDEX, MockTables, required_depth
 from .ntheory import factorize, is_prime, primes_up_to, splitting_type
 from .series import Ring, Series
 
@@ -151,10 +152,8 @@ def eigencheck(params: TwistParams, setting: CongruenceSetting, p: int,
     depth = p * (prec + 1) - 1
     table_depth = required_depth(params.delta, params.r, depth)
     if tables is not None and also_reads:
-        for kind, need in table_depth.items():
-            need = max(need, also_reads.get(kind, 0))
-            if need:
-                tables.ensure(kind, need)
+        tables.ensure_all({kind: max(need, also_reads.get(kind, 0))
+                           for kind, need in table_depth.items()})
     b = phi_star(params, depth, ring, tables).coeffs
     first = _first_residual(b, p, setting.k, lam, prec, ring)
     sturm = sturm_bound(setting.k, LEVEL)
@@ -169,6 +168,22 @@ def eigencheck(params: TwistParams, setting: CongruenceSetting, p: int,
     )
 
 
+def _scan_limit(params: TwistParams, ell: int, prime_bound: int, prec: int) -> int:
+    """The largest p <= prime_bound whose expansion, to p*(prec+1)-1, needs
+    no table index above MAX_TABLE_INDEX (the need grows with p), found
+    without sieving; a ValueError if a scanned prime lies past it."""
+    limit = bisect_left(range(1, prime_bound + 1), True, key=lambda p: max(
+        required_depth(params.delta, params.r, p * (prec + 1) - 1).values())
+        > MAX_TABLE_INDEX)
+    q = limit + 1
+    while q <= prime_bound and (not is_prime(q) or q in (2, 3, ell)):
+        q += 1
+    if q <= prime_bound:
+        raise ValueError(f"prime {q} <= bound {prime_bound} needs a table "
+                         f"index above the limit {MAX_TABLE_INDEX}")
+    return limit
+
+
 def density_scan(params: TwistParams, setting: CongruenceSetting,
                  prime_bound: int, prec: int, tables: MockTables = None) -> list:
     """Classify every prime p <= prime_bound (p not in {2, 3, ell}) by its
@@ -179,7 +194,8 @@ def density_scan(params: TwistParams, setting: CongruenceSetting,
 
     Returns rows (p, classification, lambda, first_failure) in prime order.
     """
-    primes = [p for p in primes_up_to(prime_bound) if p not in (2, 3, setting.ell)]
+    limit = _scan_limit(params, setting.ell, prime_bound, prec)
+    primes = [p for p in primes_up_to(limit) if p not in (2, 3, setting.ell)]
     if not primes:
         return []
     _check_request(params, setting, prec)

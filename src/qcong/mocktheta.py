@@ -62,16 +62,24 @@ def f_coeffs(N: int, ring: Ring = EXACT) -> list:
 _BUILDERS = {"f": f_coeffs, "omega": omega_coeffs}
 
 
+def _check_index(upto: int):
+    if upto < 0:
+        raise ValueError(f"table index {upto} must be nonnegative")
+    if upto > MAX_TABLE_INDEX:
+        raise ValueError(f"table index {upto} is above the limit {MAX_TABLE_INDEX}")
+
+
 class MockTables:
     """The f/omega coefficient store over a fixed ring.
 
     `ensure(which, upto)` keeps a held table that already covers `upto`;
-    otherwise it goes through `cache.load_or_build`: the deepest cached
-    file covering `upto` (a binary file only through index `upto`), else a
-    build that is then saved.  Growing reads or rebuilds again, so callers
-    should ensure the maximum depth up front.  `source[which]` is "loaded",
-    "built" or None (not yet needed).  A negative `upto`, or one above
-    MAX_TABLE_INDEX, is a ValueError.
+    otherwise it drops that table and goes through `cache.load_or_build`:
+    the deepest cached file covering `upto` (a binary file only through
+    index `upto`), else a build that is then saved.  Growing reads or
+    rebuilds again, so callers should ensure the maximum depth up front,
+    with `ensure_all`.  `source[which]` is "loaded", "built" or None (not
+    yet needed).  A negative `upto`, or one above MAX_TABLE_INDEX, is a
+    ValueError.
     """
 
     def __init__(self, ring: Ring = EXACT, cache_dir=None):
@@ -81,15 +89,24 @@ class MockTables:
         self.source = {"f": None, "omega": None}
 
     def ensure(self, which: str, upto: int):
-        if upto < 0:
-            raise ValueError(f"table index {upto} must be nonnegative")
-        if upto > MAX_TABLE_INDEX:
-            raise ValueError(f"table index {upto} is above the limit {MAX_TABLE_INDEX}")
+        _check_index(upto)
         if len(self._tables[which]) > upto:
             return self
+        self._tables[which] = []  # not held beside its successor
         self._tables[which], self.source[which] = cache.load_or_build(
             self.cache_dir, which, self.ring.modulus, upto,
             lambda: _BUILDERS[which](upto, self.ring))
+        return self
+
+    def ensure_all(self, needs: dict):
+        """Ensure each table of `needs` ({which: upto}, 0 for unused) once
+        every index has passed the checks, so a refused request builds and
+        caches nothing."""
+        for upto in needs.values():
+            _check_index(upto)
+        for which, upto in needs.items():
+            if upto:
+                self.ensure(which, upto)
         return self
 
     def values(self, which: str) -> list:
@@ -157,10 +174,7 @@ def c_series(delta: int, r: int, D: int, ring: Ring,
         tables = MockTables(ring)
     if tables.ring != ring:
         raise ValueError("tables ring does not match requested ring")
-    depths = required_depth(delta, r, D)
-    for kind, depth in depths.items():
-        if depth:
-            tables.ensure(kind, depth)
+    tables.ensure_all(required_depth(delta, r, D))
     out = [0] * (D + 1)
     for d in range(1, D + 1):
         out[d] = c_plus(delta, r, d, tables)

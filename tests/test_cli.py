@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from qcong import cache
+from qcong import cache, hecke, mocktheta, ntheory
 from qcong.cli import main
 from qcong.mocktheta import omega_coeffs
 from qcong.series import Ring
@@ -176,6 +176,46 @@ def test_table_index_above_limit_exit_2(capsys, tmp_path, argv):
     assert time.perf_counter() - start < 5
     assert code == 2 and out == "" and len(err.splitlines()) == 1
     assert err.startswith("error: ValueError: table index") and "above the limit" in err
+    assert not cache_dir.exists()
+
+
+def test_phi_checks_every_table_before_building(capsys, tmp_path, monkeypatch):
+    # f to 61318001 is within the limit and omega to 122666666 is not: the
+    # request is refused before the deep f table is built (c(1) reads a_f(1))
+    def builder(N, ring):
+        assert N < 10 ** 6, f"the f table was built to {N}"
+        return mocktheta.f_coeffs(N, ring)
+
+    monkeypatch.setitem(mocktheta._BUILDERS, "f", builder)
+    cache_dir = tmp_path / "cache"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "phi", "--delta", "-23", "--r", "1", "--prec", "8000",
+                         "--modulus", "23", "--cache-dir", str(cache_dir))
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert err == ("error: ValueError: table index 122666666 is above the limit "
+                   "100000000\n")
+    assert not cache_dir.exists()
+
+
+def test_scan_bound_above_limit_exit_2(capsys, tmp_path, monkeypatch):
+    # the bound is checked against the table limit before any sieve
+    sieved = []
+
+    def primes_up_to(n):
+        assert n < 10 ** 6, f"sieving to {n}"
+        sieved.append(n)
+        return ntheory.primes_up_to(n)
+
+    monkeypatch.setattr(hecke, "primes_up_to", primes_up_to)
+    cache_dir = tmp_path / "cache"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "scan", *TWIST, "--bound", str(10 ** 11), "--prec", "10",
+                         "--cache-dir", str(cache_dir))
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == "" and sieved == []
+    assert err == ("error: ValueError: prime 1117 <= bound 100000000000 needs a "
+                   "table index above the limit 100000000\n")
     assert not cache_dir.exists()
 
 

@@ -17,6 +17,7 @@ from qcong.hecke import (
     multiplicativity_check,
     sturm_bound,
 )
+from qcong.mocktheta import MAX_TABLE_INDEX, required_depth
 from qcong.series import EXACT, Ring, Series
 
 PARAMS_84 = TwistParams(-8, 4)
@@ -215,6 +216,21 @@ def test_density_scan(tables_mod23):
         (29, "other", 7, 2),
     ]
     assert density_scan(PARAMS_84, SETTING_23, 4, 10, tables_mod23) == []
+
+
+def test_scan_limit_is_the_last_prime_within_the_table_limit():
+    # at prec 10 the expansion for p needs indices through 11p - 1; for (-8, 4)
+    # p = 1113 is the last to fit MAX_TABLE_INDEX, and 1117 the next prime
+    def fits(p):
+        return max(required_depth(-8, 4, 11 * p - 1).values()) <= MAX_TABLE_INDEX
+
+    assert fits(1113) and not fits(1114)
+    limit = hecke_mod._scan_limit
+    assert limit(PARAMS_84, 23, 1116, 10) == 1113  # no prime in 1114..1116
+    assert limit(PARAMS_84, 23, 1000, 10) == 1000
+    assert limit(PARAMS_84, 1117, 1117, 10) == 1113  # ell is never scanned
+    with pytest.raises(ValueError, match="prime 1117 <= bound 1117"):
+        limit(PARAMS_84, 23, 1117, 10)
 
 
 def test_density_scan_mod5_eigenform(tables_mod5):

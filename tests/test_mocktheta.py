@@ -1,8 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
 
-from qcong import cache
+from qcong import cache, mocktheta
 from qcong.mocktheta import (
     CPLUS_DISPATCH,
     MAX_TABLE_INDEX,
@@ -345,6 +346,48 @@ def test_tables_refuse_index_above_limit(tmp_path):
     with pytest.raises(ValueError, match="above the limit"):
         t.ensure("f", MAX_TABLE_INDEX + 1)
     assert t.source["f"] is None and not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("builder", [omega_coeffs, f_coeffs])
+def test_exact_build_peak_is_near_one_table(builder):
+    # lanes are summed in LANE_CHUNK pieces, so the transient sums stay small
+    # beside the finished table (a whole-lane kernel peaked at 2.2-2.5x)
+    tracemalloc.start()
+    try:
+        table = builder(8000)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 8001
+    assert peak <= 1.25 * size
+
+
+def test_regrow_drops_the_held_table(monkeypatch):
+    t = MockTables(Ring(23))
+    held = []
+
+    def builder(N, ring):
+        held.append(list(t.values("omega")))
+        return omega_coeffs(N, ring)
+
+    monkeypatch.setitem(mocktheta._BUILDERS, "omega", builder)
+    t.ensure("omega", 10).ensure("omega", 40)
+    assert held == [[], []]
+    assert t.values("omega") == omega_coeffs(40, Ring(23))
+
+
+def test_ensure_all_checks_every_index_first(tmp_path, monkeypatch):
+    def builder(N, ring):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setitem(mocktheta._BUILDERS, "f", builder)
+    t = MockTables(Ring(23), tmp_path / "cache")
+    with pytest.raises(ValueError, match="above the limit"):
+        t.ensure_all({"f": 10, "omega": MAX_TABLE_INDEX + 1})
+    assert t.source == {"f": None, "omega": None}
+    assert not (tmp_path / "cache").exists()
+    t.ensure_all({"f": 0, "omega": 12})  # 0 marks an unused table
+    assert t.source == {"f": None, "omega": "built"}
 
 
 def test_store_loads_or_builds_once(tmp_path, monkeypatch):

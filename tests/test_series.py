@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from qcong import series
 from qcong.ntheory import NotInvertible
 from qcong.series import (
     EXACT,
+    LANE_CHUNK,
     NonIntegralNormalization,
     NonUnitConstantTerm,
     Ring,
@@ -124,6 +126,51 @@ def test_mul_binomial_inverse():
             binom = binom.add(Series(ring, [1], prec=20))
             expect = a.mul(binom.invert().pow(e))
             assert mul_binomial_inverse(a, step, sign, e) == expect.coeffs
+
+
+def literal_binomial_inverse(c, step, sign, exponent, modulus):
+    """c[n] += sign*c[n-step], one pass per exponent unit, on a copy."""
+    c = list(c)
+    for _ in range(exponent):
+        for n in range(step, len(c)):
+            c[n] += sign * c[n - step]
+            if modulus:
+                c[n] %= modulus
+    return c
+
+
+@pytest.mark.parametrize("modulus", [0, 23, 529])
+@pytest.mark.parametrize("lane_len", [1, LANE_CHUNK - 1, LANE_CHUNK,
+                                      LANE_CHUNK + 1, 3 * LANE_CHUNK + 1])
+def test_binomial_inverse_matches_literal_recurrence(lane_len, modulus):
+    # lanes that fit one chunk, fill it, and cross one or three boundaries
+    rng = random.Random(lane_len * 1000 + modulus)
+    for step in (1, 2, 7):
+        start = [rng.randint(-9, 9) for _ in range(lane_len * step)]
+        if modulus:
+            start = [v % modulus for v in start]
+        for sign in (1, -1):
+            for exponent in (1, 2, 3, 4):
+                c = list(start)
+                binomial_inverse_inplace(c, step, sign, exponent, modulus)
+                assert c == literal_binomial_inverse(start, step, sign, exponent, modulus), (
+                    step, sign, exponent)
+
+
+@pytest.mark.parametrize("chunk", [2, 3, 5])
+def test_binomial_inverse_small_chunks(monkeypatch, chunk):
+    # odd chunk sizes put the twist's parity and both carries mid-lane
+    monkeypatch.setattr(series, "LANE_CHUNK", chunk)
+    rng = random.Random(chunk)
+    for _ in range(150):
+        modulus = rng.choice((0, 23, 529))
+        step, sign, exponent = rng.randint(1, 4), rng.choice((1, -1)), rng.randint(1, 4)
+        start = [rng.randint(-9, 9) for _ in range(rng.randint(1, 40))]
+        if modulus:
+            start = [v % modulus for v in start]
+        c = list(start)
+        binomial_inverse_inplace(c, step, sign, exponent, modulus)
+        assert c == literal_binomial_inverse(start, step, sign, exponent, modulus)
 
 
 def test_pow():
