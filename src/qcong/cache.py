@@ -2,15 +2,12 @@
 
 A cache file is a JSON header line followed by the payload:
 
-  - text encoding, exact ring: one decimal integer per line (values can run
-    to hundreds of digits, so decimal strings are mandatory);
-  - binary encoding (every modular ring whose residues fit a u64 word,
-    i.e. modulus <= 2**64): magic bytes ``QSER1``, a little-endian u64 word
-    count, then fixed-width little-endian u64 words.  A reader can decode
-    any prefix of it;
-  - text encoding, modular ring (moduli above 2**64; earlier versions wrote
-    every modular ring this way, and those files are still read): a single
-    line holding a JSON array.
+  - binary encoding (0 < modulus <= 2**64): magic bytes ``QSER1``, a
+    little-endian u64 word count, then fixed-width little-endian u64 words.
+    A reader can decode any prefix of it;
+  - text encoding (the exact ring and moduli above 2**64): one decimal
+    integer per line.  A lookup skips a text file whose payload is a JSON
+    array, as earlier versions wrote, so that table is rebuilt once.
 
 Header fields: format, encoding, function (f | omega | phi_star), delta, r,
 modulus, prec.  For the index-0 functions f and omega the payload has
@@ -56,8 +53,8 @@ def save_coeffs(directory, function: str, values: list, modulus: int,
                 prec: int, delta: int = None, r: int = None) -> Path:
     """Write a coefficient array to the cache directory; returns the path.
 
-    A modular ring whose residues fit a u64 word is written binary; the
-    exact ring and larger moduli are written as text."""
+    A modular ring whose residues fit a u64 word is written binary; any
+    other ring as decimal lines."""
     encoding = "binary" if 0 < modulus <= 1 << 64 else "text"
     if len(values) != _payload_len(function, prec):
         raise ValueError(
@@ -76,10 +73,7 @@ def save_coeffs(directory, function: str, values: list, modulus: int,
     path = directory / _file_name(function, modulus, prec, delta, r)
     head = json.dumps(header, sort_keys=True).encode() + b"\n"
     if encoding == "text":
-        if modulus == 0:
-            parts = ["\n".join(str(v) for v in values).encode() + b"\n"]
-        else:
-            parts = [json.dumps(values).encode() + b"\n"]
+        parts = ["\n".join(str(v) for v in values).encode() + b"\n"]
     else:
         try:
             words = array("Q", values)
@@ -140,7 +134,7 @@ def load_coeffs(path, count: int = None) -> tuple:
             expected = _payload_len(header.get("function", ""), header["prec"])
             encoding = header.get("encoding")
             if encoding == "text":
-                values = _decode_text(path, fh.read(), header["modulus"], expected)
+                values = _decode_text(path, fh.read(), expected)
             elif encoding == "binary":
                 values = _decode_words(path, fh, expected, count)
             else:
@@ -148,11 +142,7 @@ def load_coeffs(path, count: int = None) -> tuple:
     except OSError as exc:
         raise CacheError(f"cannot read {path}: {exc}") from exc
     m = header["modulus"]
-    try:
-        out_of_range = m and values and (min(values) < 0 or max(values) >= m)
-    except TypeError:  # a non-numeric entry in a JSON array
-        raise CacheError(f"{path}: bad payload: not an integer array") from None
-    if out_of_range:
+    if m and values and (min(values) < 0 or max(values) >= m):
         raise CacheError(f"{path}: values out of range for modulus {m}")
     return header, values
 
@@ -164,21 +154,11 @@ def _require_int(path, header: dict, key: str) -> int:
     return value
 
 
-def _reject_number(token):
-    raise ValueError(f"non-integer number {token}")
-
-
-def _decode_text(path, body: bytes, modulus, expected: int) -> list:
+def _decode_text(path, body: bytes, expected: int) -> list:
     try:
-        if modulus == 0:
-            values = [int(line) for line in body.split() if line]
-        else:
-            values = json.loads(body, parse_float=_reject_number,
-                                parse_constant=_reject_number)
+        values = [int(line) for line in body.split()]
     except ValueError as exc:
         raise CacheError(f"{path}: bad payload: {exc}") from exc
-    if not isinstance(values, list):
-        raise CacheError(f"{path}: bad payload: not an integer array")
     if len(values) != expected:
         raise CacheError(
             f"{path}: payload length {len(values)} does not match header prec"
@@ -219,7 +199,9 @@ def find_coeffs(directory, function: str, modulus: int, min_prec: int,
     Scans the directory for matching function/modulus/twist headers and
     returns the deepest match as (header, values).  A binary file decodes
     only the entries through index min_prec; a text file decodes whole.  A
-    matching header whose prec is not an integer raises CacheError.
+    matching header whose prec is not an integer raises CacheError; a
+    matching text file whose payload is a JSON array (written by earlier
+    versions) is skipped, so its table is rebuilt.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -229,6 +211,7 @@ def find_coeffs(directory, function: str, modulus: int, min_prec: int,
         try:
             with path.open("rb") as fh:
                 header = json.loads(fh.readline())
+                lead = fh.read(1)
         except (OSError, ValueError):  # unreadable, or not JSON text
             continue
         if not isinstance(header, dict) or header.get("format") != FORMAT_TAG:
@@ -239,6 +222,7 @@ def find_coeffs(directory, function: str, modulus: int, min_prec: int,
             or header.get("delta") != delta
             or header.get("r") != r
             or _require_int(path, header, "prec") < min_prec
+            or header.get("encoding") == "text" and lead == b"["  # a JSON array
         ):
             continue
         if best is None or header["prec"] > best[1]["prec"]:

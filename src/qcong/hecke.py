@@ -52,11 +52,12 @@ def index_gamma0(N: int) -> int:
 
 
 def sturm_bound(k: int, N: int) -> int:
-    """floor(k * [SL2(Z) : Gamma0(N)] / 24): vanishing of all coefficients up
-    to this index mod ell forces vanishing mod ell identically."""
+    """Sturm's bound floor(k * [SL2(Z) : Gamma0(N)] / 12): a weight-k form on
+    Gamma0(N) whose coefficients through this index vanish mod ell vanishes
+    mod ell identically (Sturm 1987)."""
     if k < 1:
         raise ValueError("weight must be positive")
-    return k * index_gamma0(N) // 24
+    return k * index_gamma0(N) // 12
 
 
 def hasse_weight(ell: int, B: int, R: int) -> int:
@@ -77,6 +78,8 @@ class CongruenceSetting:
     k: int = field(init=False)
 
     def __post_init__(self):
+        if self.B < 1 or self.R < 1:
+            raise ValueError(f"B = {self.B} and R = {self.R} must both be at least 1")
         self.k = hasse_weight(self.ell, self.B, self.R)
 
     @property

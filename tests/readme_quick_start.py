@@ -4,11 +4,14 @@ Run as a script, it runs the block three times: without a cache, then
 cold and warm against one fresh temporary QCONG_CACHE_DIR.  It exits 1 if
 any command exits nonzero, or if a command's stdout differs between the
 passes; the one allowed difference is `heckecheck`'s `table_source`,
-whose "built" tables read "loaded" on the warm pass:
+whose "built" tables read "loaded" on the warm pass.  It also exits 1 if
+the warm pass writes or changes a cache file (names and sha256 of the
+directory, taken after each pass):
 
     PYTHONPATH=src python tests/readme_quick_start.py
 """
 
+import hashlib
 import json
 import os
 import re
@@ -40,6 +43,12 @@ def run_block(env: dict) -> list:
     return results
 
 
+def snapshot(directory: str) -> dict:
+    """{file name: sha256} of every file in the cache directory."""
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(Path(directory).iterdir())}
+
+
 def warm_stdout(argv: list, cold: str) -> str:
     """The stdout a warm run should print, given the cold run's."""
     if argv[1] != "heckecheck":
@@ -56,8 +65,14 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as cache_dir:
         env["QCONG_CACHE_DIR"] = cache_dir
         cold = run_block(env)
+        after_cold = snapshot(cache_dir)
         warm = run_block(env)
+        after_warm = snapshot(cache_dir)
     failed = 0
+    print(f"cache files after the cold pass: {len(after_cold)}")
+    if after_warm != after_cold:
+        print("  the warm pass wrote or changed a cache file")
+        failed += 1
     for argv, plain, first, second in zip(quick_start_commands(), uncached, cold, warm):
         print(f"exit {plain[0]}, {first[0]}, {second[0]}: {shlex.join(argv)}")
         failed += any(code != 0 for code, _ in (plain, first, second))

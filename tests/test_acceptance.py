@@ -82,7 +82,7 @@ def test_criterion_04_eigencheck_prec_50(tables_mod23):
     elapsed = time.perf_counter() - t0
     assert report.certified
     assert report.verified_prec == 50
-    assert report.sturm == 23 and report.sturm_met
+    assert report.sturm == 46 and report.sturm_met
     assert elapsed < 300.0
     _report(4, f"T_5 eigencheck mod 23 certified to q^50 in {elapsed:.1f}s")
 

@@ -6,6 +6,8 @@ import pytest
 from qcong.cache import MAGIC, CacheError, find_coeffs, load_coeffs, save_coeffs
 from qcong.cli import main
 
+BIG = 23 ** 15  # a modulus past a u64 word (2**64): text payload
+
 
 def test_text_exact_round_trip(tmp_path):
     values = [1, -24, 252, 10 ** 80]
@@ -91,11 +93,34 @@ def test_binary_prefix_read(tmp_path):
         load_coeffs(path, 1)
 
 
-def test_text_files_decode_whole(tmp_path, write_legacy_text):
-    # a legacy text mod-m file and an exact file ignore the prefix count
-    legacy = write_legacy_text(tmp_path, "omega", [3, 1, 4], 23, prec=2)
-    assert load_coeffs(legacy, 1)[1] == [3, 1, 4]
-    assert find_coeffs(tmp_path, "omega", 23, min_prec=0)[1] == [3, 1, 4]
+def test_text_modular_payload_is_decimal_lines(tmp_path):
+    # a modulus above 2**64 is written exactly like the exact ring
+    values = [0, 7, BIG - 1]
+    big = save_coeffs(tmp_path, "f", values, BIG, prec=2)
+    exact = save_coeffs(tmp_path, "f", values, 0, prec=2)
+    assert big.read_bytes().split(b"\n", 1)[1] == b"0\n7\n%d\n" % (BIG - 1)
+    assert exact.read_bytes().split(b"\n", 1)[1] == big.read_bytes().split(b"\n", 1)[1]
+
+
+def test_json_array_payload_is_skipped(tmp_path, write_legacy_text):
+    # earlier versions wrote mod-m text files as one JSON array: a lookup
+    # skips them (their table is rebuilt), a direct load refuses them
+    for modulus in (23, BIG):
+        legacy = write_legacy_text(tmp_path, "omega", [3, 1, 4], modulus, prec=2)
+        with pytest.raises(CacheError, match="bad payload"):
+            load_coeffs(legacy)
+        assert find_coeffs(tmp_path, "omega", modulus, min_prec=0) is None
+        # a shallower current file is found in its place
+        current = save_coeffs(tmp_path, "omega", [3, 1], modulus, prec=1)
+        assert find_coeffs(tmp_path, "omega", modulus, min_prec=1) == load_coeffs(current)
+
+
+def test_text_files_decode_whole(tmp_path):
+    # a text file over a modulus above 2**64 and an exact file ignore the
+    # prefix count
+    big = save_coeffs(tmp_path, "omega", [3, 1, 4], BIG, prec=2)
+    assert load_coeffs(big, 1)[1] == [3, 1, 4]
+    assert find_coeffs(tmp_path, "omega", BIG, min_prec=0)[1] == [3, 1, 4]
     exact = save_coeffs(tmp_path, "f", [1, 1, -1], 0, prec=2)
     assert load_coeffs(exact, 1)[1] == [1, 1, -1]
 
@@ -137,35 +162,30 @@ def test_payload_length_validation(tmp_path):
     save_coeffs(tmp_path, "phi_star", [1, 2, 3], 0, prec=3)   # b(1..3)
 
 
-def test_corruption_detection(tmp_path, write_legacy_text):
-    path = write_legacy_text(tmp_path, "omega", [1, 2, 3], 23, prec=2)
+def test_corruption_detection(tmp_path):
+    m = BIG  # a modular text file: one decimal integer per line
+    path = save_coeffs(tmp_path, "omega", [1, 2, 3], m, prec=2)
     head, _ = path.read_bytes().split(b"\n", 1)
 
-    path.write_bytes(b"garbage\n[1,2,3]\n")
+    path.write_bytes(b"garbage\n1\n2\n3\n")
     with pytest.raises(CacheError):
         load_coeffs(path)
 
-    path.write_bytes(head + b"\n[1,2]\n")  # wrong length
-    with pytest.raises(CacheError):
-        load_coeffs(path)
-
-    path.write_bytes(head + b"\n[1,2,99]\n")  # out of range mod 23
-    with pytest.raises(CacheError):
-        load_coeffs(path)
-
-    for payload in (b"[1,-2,3]", b"[1,2,23]", b"[-1,0,22]"):  # each out of range
-        path.write_bytes(head + b"\n" + payload + b"\n")
+    for payload in (b"1\n2\n", b"1\n2\n3\n4\n"):  # wrong count
+        path.write_bytes(head + b"\n" + payload)
         with pytest.raises(CacheError):
             load_coeffs(path)
-    for payload in (b"[1.5,2,3]", b'["1",2,3]', b"[null,2,3]", b"[[1],2,3]",
-                    b'["1","2","3"]', b"[[1],[2],[3]]", b"[1,2,3.0]",
-                    b"[NaN,2,3]", b"[1,Infinity,3]", b"[1,2,-Infinity]",
-                    b'{"a":1}'):  # not an integer array
-        path.write_bytes(head + b"\n" + payload + b"\n")
+    for payload in (b"1\n-2\n3\n", b"1\n2\n%d\n" % m, b"-1\n0\n%d\n" % (m - 1)):
+        path.write_bytes(head + b"\n" + payload)  # each out of range
         with pytest.raises(CacheError):
             load_coeffs(path)
-    path.write_bytes(head + b"\n[0,1,22]\n")  # the range edges are accepted
-    assert load_coeffs(path)[1] == [0, 1, 22]
+    for payload in (b"1.5\n2\n3\n", b"1\n2\n3.0\n", b"NaN\n2\n3\n",
+                    b"1\nx\n3\n"):  # not an integer
+        path.write_bytes(head + b"\n" + payload)
+        with pytest.raises(CacheError):
+            load_coeffs(path)
+    path.write_bytes(head + b"\n0\n1\n%d\n" % (m - 1))  # the range edges are accepted
+    assert load_coeffs(path)[1] == [0, 1, m - 1]
     empty = save_coeffs(tmp_path, "phi_star", [], 23, prec=0)  # no values to range-check
     assert load_coeffs(empty)[1] == []
 
@@ -187,12 +207,12 @@ def test_corruption_detection(tmp_path, write_legacy_text):
         header[field] = value
         if value is None:
             del header[field]
-        path.write_bytes(json.dumps(header).encode() + b"\n[0,1,22]\n")
+        path.write_bytes(json.dumps(header).encode() + b"\n0\n1\n22\n")
         with pytest.raises(CacheError):
             load_coeffs(path)
         if field == "prec":
             with pytest.raises(CacheError):
-                find_coeffs(tmp_path, "omega", 23, min_prec=1)
+                find_coeffs(tmp_path, "omega", m, min_prec=1)
 
 
 def _rewrite_header(path, **fields):

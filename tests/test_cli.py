@@ -156,12 +156,12 @@ def test_warm_command_decodes_omega_once(capsys, tmp_path, monkeypatch, name):
 
 
 def test_cold_certify_cache_files(capsys, tmp_path):
-    # one table, to the deeper of the eigencheck depth (9440) and the rows
+    # one table, to the deeper of the eigencheck depth (36192) and the rows
     code, out, _ = run(capsys, "certify", *TWIST, "--p", "5", "--M", "1", "2", "3",
                        "--cache-dir", str(tmp_path))
     assert code == 0 and out.strip().splitlines()[-1] == "3,10416,12,12,true"
     assert sorted(p.name for p in tmp_path.glob("*.qser")) == [
-        "omega_mod23_p10416.qser"]
+        "omega_mod23_p36192.qser"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -221,20 +221,21 @@ def test_scan_bound_above_limit_exit_2(capsys, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(WARM_COMMANDS))
 def test_legacy_text_cache_is_read(capsys, tmp_path, write_legacy_text, name):
-    # a mod-23 omega file in the older text encoding still serves every command
+    # a mod-23 omega file in the older text encoding (a JSON array) is read
+    # and skipped: the table is rebuilt and rewritten under the same name
     cold_code, cold_out, _ = run(capsys, *WARM_COMMANDS[name])
-    values = omega_coeffs(600, Ring(23))
-    legacy = write_legacy_text(tmp_path, "omega", values, 23, 600)
+    assert run(capsys, *WARM_COMMANDS[name], "--cache-dir", str(tmp_path / "own"))[0] == 0
+    (own,) = (tmp_path / "own").glob("*.qser")
+    prec = cache.load_coeffs(own)[0]["prec"]
+    legacy = write_legacy_text(tmp_path, "omega", omega_coeffs(prec, Ring(23)), 23, prec)
+    assert legacy.name == own.name
     code, out, _ = run(capsys, *WARM_COMMANDS[name], "--cache-dir", str(tmp_path))
     assert code == cold_code == 0
     assert list(tmp_path.glob("*.qser")) == [legacy]
+    assert legacy.read_bytes() == own.read_bytes()
     if name == "heckecheck":
-        cold_doc, doc = json.loads(cold_out), json.loads(out)
-        assert doc.pop("table_source") == {"f": None, "omega": "loaded"}
-        cold_doc.pop("table_source")
-        assert doc == cold_doc
-    else:
-        assert out == cold_out
+        assert json.loads(out)["table_source"] == {"f": None, "omega": "built"}
+    assert out == cold_out
 
 
 def test_certify_rejects_bad_prime_before_building(capsys, tmp_path):
@@ -346,11 +347,11 @@ def test_warm_phi_decodes_once(capsys, tmp_path, monkeypatch):
 def test_heckecheck_certified(capsys):
     code, out, _ = run(capsys, "heckecheck", "--delta", "-8", "--r", "4",
                        "--p", "5", "--ell", "23", "--R", "1", "--B", "2",
-                       "--prec", "23", "--lambda", "0")
+                       "--prec", "46", "--lambda", "0")
     assert code == 0
     doc = json.loads(out)
     assert doc["certified"] is True
-    assert doc["sturm_bound"] == 23 and doc["sturm_met"] is True
+    assert doc["sturm_bound"] == 46 and doc["sturm_met"] is True
     assert doc["weight"] == 46
     assert doc["table_depth"]["omega"] > 0
 
@@ -561,6 +562,23 @@ def test_modulus_above_u64_caches_as_text(capsys, tmp_path, name):
     assert code == cold_code == (5 if name == "heckecheck" else 0)  # 5: not eigen
 
 
+@pytest.mark.parametrize("modulus", [23, BIG], ids=["23", "23**15"])
+def test_json_array_cache_file_is_rebuilt(capsys, tmp_path, write_legacy_text, modulus):
+    # a file from before the two codecs is skipped, then replaced by the
+    # current encoding: binary below 2**64, decimal lines above
+    argv = ("coeffs", "--function", "omega", "--upto", "40", "--modulus", str(modulus))
+    _, expect, _ = run(capsys, *argv)
+    values = omega_coeffs(40, Ring(modulus))
+    legacy = write_legacy_text(tmp_path, "omega", values, modulus, 40)
+    code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == 0 and out == expect and err == ""
+    assert list(tmp_path.glob("*.qser")) == [legacy]
+    header, got = cache.load_coeffs(legacy)
+    assert header["encoding"] == ("binary" if modulus == 23 else "text")
+    assert got == values and not legacy.read_bytes().split(b"\n", 1)[1].startswith(b"[")
+    assert run(capsys, *argv, "--cache-dir", str(tmp_path))[1] == expect
+
+
 def test_phi_reads_prefix_of_deeper_text_file(capsys, tmp_path):
     # a text file decodes whole, so phi must print only the entries asked for
     argv = BIG_COMMANDS["phi"][:-4] + ("--modulus", str(BIG))
@@ -569,6 +587,20 @@ def test_phi_reads_prefix_of_deeper_text_file(capsys, tmp_path):
     code, out, _ = run(capsys, *argv, "--prec", "8", "--cache-dir", str(tmp_path))
     assert code == 0 and out == expect and len(out.splitlines()) == 8
     assert [p.name for p in tmp_path.glob("*.qser")] == [f"phi_star_d-8_r4_mod{BIG}_p20.qser"]
+
+
+@pytest.mark.parametrize("flag", ["--B", "--R"])
+@pytest.mark.parametrize("name", sorted(WARM_COMMANDS))
+def test_B_or_R_below_one_exit_2(capsys, tmp_path, name, flag):
+    # B = 0 (weight 2) or R = 0 (modulus 1) proves nothing: refused before
+    # any table is read or any cache dir is made
+    argv = list(WARM_COMMANDS[name])
+    argv[argv.index(flag) + 1] = "0"
+    cache_dir = tmp_path / "cache"
+    code, out, err = run(capsys, *argv, "--cache-dir", str(cache_dir))
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert "must both be at least 1" in err
+    assert not cache_dir.exists()
 
 
 @pytest.mark.parametrize("command", [

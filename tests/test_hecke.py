@@ -74,18 +74,28 @@ def test_index_gamma0():
 
 
 def test_sturm_bound():
-    assert sturm_bound(46, 6) == 23
-    assert sturm_bound(10, 6) == 5
-    assert sturm_bound(24, 1) == 1
+    assert sturm_bound(46, 6) == 46
+    assert sturm_bound(10, 6) == 10
+    assert sturm_bound(24, 1) == 2
+
+
+def test_sturm_bound_covers_the_dimension():
+    # Gamma0(6) has genus 0, 4 cusps and no elliptic points, so for even k
+    # dim M_k(Gamma0(6)) = k + 1: a bound below k checks q^0..q^bound, fewer
+    # coefficients than the dimension, and cannot force a form to vanish
+    for k in range(2, 61, 2):
+        assert sturm_bound(k, 6) >= k, k
+    # Delta = q - 24q^2 + ... is a nonzero level-1 form of weight 12
+    assert sturm_bound(12, 1) >= 1
 
 
 def test_level_is_six_for_every_twist(tables_mod23):
     # the products live on Gamma0(6) whatever (delta, r); the report's Sturm
-    # bound is k * [SL2(Z) : Gamma0(6)] / 24 = 46 * 12 / 24 for both twists
+    # bound is k * [SL2(Z) : Gamma0(6)] / 12 = 46 * 12 / 12 for both twists
     assert LEVEL == 6 and index_gamma0(LEVEL) == 12
     for params in (PARAMS_84, TwistParams(-23, 1)):
         rep = eigencheck(params, SETTING_23, 5, 0, 1, tables_mod23)
-        assert rep.sturm == sturm_bound(46, 6) == 23, params
+        assert rep.sturm == sturm_bound(46, 6) == 46, params
 
 
 def test_sturm_bound_monotone():
@@ -115,12 +125,21 @@ def test_congruence_setting():
         CongruenceSetting(23, 1, 2, k=46)
 
 
+@pytest.mark.parametrize("B, R", [(0, 1), (2, 0), (-1, 1), (2, -3)])
+def test_congruence_setting_refuses_B_or_R_below_one(B, R):
+    # B = 0 gives weight 2, and R = 0 the modulus ell^0 = 1: neither proves a
+    # congruence, so the setting is refused before any table is read
+    with pytest.raises(ValueError, match=f"B = {B} and R = {R} must both be at least 1"):
+        CongruenceSetting(23, R, B)
+
+
 def test_eigencheck_certifies(tables_mod23):
-    rep = eigencheck(PARAMS_84, SETTING_23, 5, 0, 23, tables_mod23)
+    rep = eigencheck(PARAMS_84, SETTING_23, 5, 0, 46, tables_mod23)
     assert rep.certified and rep.first_failure is None
-    assert rep.sturm == 23 and rep.sturm_met
-    assert rep.verified_prec == 23
-    assert rep.table_depth["omega"] >= (8 * (5 * 24 - 1) ** 2 - 8) // 12
+    assert rep.sturm == 46 and rep.sturm_met
+    assert rep.verified_prec == 46
+    # depth 5 * 47 - 1 = 234 reads no table (3 divides its key); 233 reads omega
+    assert rep.table_depth["omega"] >= (8 * (5 * 47 - 2) ** 2 - 8) // 12
     assert rep.table_depth["f"] == 0
 
 
