@@ -55,6 +55,25 @@ def _emit_values(args, doc, values, start=0):
     return EXIT_OK
 
 
+def _emit_rows(args, doc, rows, columns):
+    """Result rows: JSON `doc` plus "rows", or one CSV line of `columns` each."""
+    if args.json:
+        _emit_json({"command": args.command, **doc, "rows": rows})
+    else:
+        for row in rows:
+            # lower() spells a bool as JSON does; no other cell has a capital
+            print(",".join("" if row[c] is None else str(row[c]).lower()
+                           for c in columns))
+    return EXIT_OK
+
+
+def _congruence_request(args):
+    """The (twist, setting, table store) of a heckecheck, certify or scan."""
+    params = TwistParams(args.delta, args.r)
+    setting = CongruenceSetting(args.ell, args.R, args.B)
+    return params, setting, MockTables(Ring(setting.modulus), _cache_dir(args))
+
+
 def cmd_coeffs(args) -> int:
     tables = MockTables(Ring(args.modulus), _cache_dir(args))
     tables.ensure(args.function, args.upto)
@@ -77,18 +96,15 @@ def cmd_phi(args) -> int:
 
 
 def cmd_heckecheck(args) -> int:
-    setting = CongruenceSetting(args.ell, args.R, args.B)
-    tables = MockTables(Ring(setting.modulus), _cache_dir(args))
-    report = eigencheck(TwistParams(args.delta, args.r), setting, args.p,
-                        args.lam, args.prec, tables)
+    params, setting, tables = _congruence_request(args)
+    report = eigencheck(params, setting, args.p, args.lam, args.prec, tables)
     _emit_json({"command": "heckecheck", **report.to_dict(),
                 "table_source": tables.source})
     return EXIT_OK if report.certified else EXIT_EIGENFAIL
 
 
 def cmd_certify(args) -> int:
-    params = TwistParams(args.delta, args.r)
-    setting = CongruenceSetting(args.ell, args.R, args.B)
+    params, setting, tables = _congruence_request(args)
     prec = sturm_bound(setting.k, LEVEL) if args.prec is None else args.prec
     eigen = EigenData(setting, args.p, args.lam)
     predictions = [
@@ -98,33 +114,22 @@ def cmd_certify(args) -> int:
     rows_need = {}
     for _, kind, index, _ in predictions:
         rows_need[kind] = max(rows_need.get(kind, 0), index)
-    tables = MockTables(Ring(setting.modulus), _cache_dir(args))
     report = eigencheck(params, setting, args.p, args.lam, prec, tables,
                         also_reads=rows_need)
     if not report.certified:
         print(f"eigencheck failed at q^{report.first_failure}; "
               "certification prerequisites not met", file=sys.stderr)
         return EXIT_EIGENFAIL
-    rows = []
-    all_match = True
-    for M, kind, index, predicted in predictions:
-        actual = tables.values(kind)[index]
-        match = actual == predicted
-        all_match = all_match and match
-        rows.append({"M": M, "function": kind, "index": index,
-                     "predicted": str(predicted), "actual": str(actual),
-                     "match": match})
-    if args.json:
-        _emit_json({
-            "command": "certify", "delta": args.delta, "r": args.r,
-            "p": args.p, "ell": args.ell, "R": args.R, "B": args.B,
-            "weight": setting.k, "lambda": args.lam,
-            "eigencheck_prec": prec, "rows": rows, "all_match": all_match,
-        })
-    else:
-        for row in rows:
-            print(f"{row['M']},{row['index']},{row['predicted']},"
-                  f"{row['actual']},{str(row['match']).lower()}")
+    rows = [{"M": M, "function": kind, "index": index, "predicted": str(predicted),
+             "actual": str(tables.values(kind)[index]),
+             "match": tables.values(kind)[index] == predicted}
+            for M, kind, index, predicted in predictions]
+    all_match = all(row["match"] for row in rows)
+    _emit_rows(args, {"delta": args.delta, "r": args.r, "p": args.p,
+                      "ell": args.ell, "R": args.R, "B": args.B,
+                      "weight": setting.k, "lambda": args.lam,
+                      "eigencheck_prec": prec, "all_match": all_match},
+               rows, ("M", "index", "predicted", "actual", "match"))
     return EXIT_OK if all_match else EXIT_CERTFAIL
 
 
@@ -136,25 +141,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    setting = CongruenceSetting(args.ell, args.R, args.B)
-    tables = MockTables(Ring(setting.modulus), _cache_dir(args))
-    rows = density_scan(TwistParams(args.delta, args.r), setting, args.bound,
-                        args.prec, tables)
-    if args.json:
-        _emit_json({
-            "command": "scan", "delta": args.delta, "r": args.r,
-            "ell": args.ell, "R": args.R, "B": args.B,
-            "bound": args.bound, "prec": args.prec,
-            "rows": [
-                {"p": p, "class": label, "lambda": str(lam),
-                 "first_failure": fail}
-                for p, label, lam, fail in rows
-            ],
-        })
-    else:
-        for p, label, lam, fail in rows:
-            print(f"{p},{label},{lam},{'' if fail is None else fail}")
-    return EXIT_OK
+    params, setting, tables = _congruence_request(args)
+    rows = density_scan(params, setting, args.bound, args.prec, tables)
+    return _emit_rows(args, {"delta": args.delta, "r": args.r, "ell": args.ell,
+                             "R": args.R, "B": args.B, "bound": args.bound,
+                             "prec": args.prec},
+                      [{"p": p, "class": label, "lambda": str(lam),
+                        "first_failure": fail} for p, label, lam, fail in rows],
+                      ("p", "class", "lambda", "first_failure"))
 
 
 def _add_common(sub, cache_opt=True):

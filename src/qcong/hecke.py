@@ -1,11 +1,12 @@
 """Hecke operators on truncated expansions, Sturm bounds, pole-clearing
-weight bookkeeping, eigencheck certification mod ell^R, prime scans."""
+weight bookkeeping, eigencheck certification mod ell^R and prime scans,
+which are checked, sized and expanded on one path, `_expansion`."""
 
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from math import gcd
 
-from .borcherds import TwistParams, check_prime, phi_star
+from .borcherds import TwistParams, _normalizer, check_prime, phi_star
 from .mocktheta import MAX_TABLE_INDEX, MockTables, required_depth
 from .ntheory import factorize, is_prime, primes_up_to, splitting_type
 from .series import Ring, Series
@@ -118,46 +119,51 @@ class HeckeCheckReport:
         return {json_keys.get(k, k): v for k, v in asdict(self).items()}
 
 
-def _check_request(params: TwistParams, setting: CongruenceSetting, prec: int):
-    """Reject a congruence request that no table can answer, before any
-    table is read or built."""
-    if prec < 1:
-        raise ValueError(f"prec = {prec} must be at least 1")
-    if splitting_type(setting.ell, params.delta) == "split":
-        raise ValueError(f"ell = {setting.ell} splits for delta = {params.delta}")
+def _depth(p: int, prec: int) -> int:
+    """The last index of Phi* that a T_p check through q^prec reads."""
+    return p * (prec + 1) - 1
 
 
 def _first_residual(b: list, p: int, k: int, lam: int, prec: int, ring: Ring):
     """The first n in 1..prec with (Phi*|T_{p,k})(n) != lam * b(n) mod ell^R,
-    or None; b holds Phi*'s coefficients through at least q^(p*(prec+1)-1)."""
-    transformed = hecke_operator(Series(ring, b[: p * (prec + 1)]), p, k).coeffs
-    m = ring.modulus
+    or None; b holds Phi*'s coefficients through at least q^_depth(p, prec)."""
+    transformed = hecke_operator(Series(ring, b[: _depth(p, prec) + 1]), p, k).coeffs
     return next((n for n in range(1, prec + 1)
-                 if transformed[n] != lam * b[n] % m), None)
+                 if transformed[n] != lam * b[n] % ring.modulus), None)
+
+
+def _expansion(params: TwistParams, setting: CongruenceSetting, primes: list,
+               prec: int, tables: MockTables = None, also_reads: dict = None):
+    """The one path of every congruence request, T_p checks through q^prec
+    at each of `primes` (maybe none): reject it before any table is read,
+    ensure each table once, also to `also_reads`, and expand Phi* mod ell^R."""
+    if prec < 1:
+        raise ValueError(f"prec = {prec} must be at least 1")
+    if splitting_type(setting.ell, params.delta) == "split":
+        raise ValueError(f"ell = {setting.ell} splits for delta = {params.delta}")
+    for p in primes:
+        check_prime(p, setting.ell)
+    _normalizer(params)
+    ring = Ring(setting.modulus)
+    depth = max((_depth(p, prec) for p in primes), default=0)
+    table_depth = required_depth(params.delta, params.r, depth)
+    if tables is not None:
+        tables.ensure_all({kind: max(need, (also_reads or {}).get(kind, 0))
+                           for kind, need in table_depth.items()})
+    return phi_star(params, depth, ring, tables).coeffs, ring, table_depth
 
 
 def eigencheck(params: TwistParams, setting: CongruenceSetting, p: int,
                lam: int, prec: int, tables: MockTables = None,
                also_reads: dict = None) -> HeckeCheckReport:
     """Verify Phi* | T_{p,k} = lam * Phi* (mod ell^R) coefficientwise
-    through q^prec.
-
-    Builds the expansion mod ell^R to index p*(prec+1)-1 so the transform is
-    known through q^prec, applies the Hecke operator at the pole-clearing
-    weight, and reports the first failing index if any.  `also_reads` maps
-    a table kind to the deepest index the caller will read from `tables`
-    afterwards; each table is then ensured once, to the deeper of that and
-    the expansion's own need, after the request is validated.
+    through q^prec, at the pole-clearing weight; reports the first failing
+    index if any.  Phi* comes from `_expansion`, the one path of every
+    congruence request, which also ensures each table to `also_reads`
+    ({kind: deepest index the caller reads afterwards}).
     """
-    _check_request(params, setting, prec)
-    check_prime(p, setting.ell)
-    ring = Ring(setting.modulus)
-    depth = p * (prec + 1) - 1
-    table_depth = required_depth(params.delta, params.r, depth)
-    if tables is not None and also_reads:
-        tables.ensure_all({kind: max(need, also_reads.get(kind, 0))
-                           for kind, need in table_depth.items()})
-    b = phi_star(params, depth, ring, tables).coeffs
+    b, ring, table_depth = _expansion(params, setting, [p], prec, tables,
+                                      also_reads)
     first = _first_residual(b, p, setting.k, lam, prec, ring)
     sturm = sturm_bound(setting.k, LEVEL)
     return HeckeCheckReport(
@@ -172,11 +178,11 @@ def eigencheck(params: TwistParams, setting: CongruenceSetting, p: int,
 
 
 def _scan_limit(params: TwistParams, ell: int, prime_bound: int, prec: int) -> int:
-    """The largest p <= prime_bound whose expansion, to p*(prec+1)-1, needs
+    """The largest p <= prime_bound whose expansion, to _depth(p, prec), needs
     no table index above MAX_TABLE_INDEX (the need grows with p), found
     without sieving; a ValueError if a scanned prime lies past it."""
     limit = bisect_left(range(1, prime_bound + 1), True, key=lambda p: max(
-        required_depth(params.delta, params.r, p * (prec + 1) - 1).values())
+        required_depth(params.delta, params.r, _depth(p, prec)).values())
         > MAX_TABLE_INDEX)
     q = limit + 1
     while q <= prime_bound and (not is_prime(q) or q in (2, 3, ell)):
@@ -195,24 +201,18 @@ def density_scan(params: TwistParams, setting: CongruenceSetting,
     labelled '0', '2' or 'b(p)' by that value, a failing one 'other' with
     the first residual index.
 
+    The primes left after `_scan_limit`, even none, go through `_expansion`.
     Returns rows (p, classification, lambda, first_failure) in prime order.
     """
     limit = _scan_limit(params, setting.ell, prime_bound, prec)
     primes = [p for p in primes_up_to(limit) if p not in (2, 3, setting.ell)]
-    if not primes:
-        return []
-    _check_request(params, setting, prec)
-    ring = Ring(setting.modulus)
-    max_depth = max(p * (prec + 1) - 1 for p in primes)
-    b = phi_star(params, max_depth, ring, tables).coeffs
-
-    def classify(p):
+    b, ring, _ = _expansion(params, setting, primes, prec, tables)
+    rows = []
+    for p in primes:
         first = _first_residual(b, p, setting.k, b[p], prec, ring)
-        if first is not None:
-            return (p, "other", b[p], first)
-        return (p, {0: "0", 2: "2"}.get(b[p], "b(p)"), b[p], None)
-
-    return [classify(p) for p in primes]
+        label = "other" if first else {0: "0", 2: "2"}.get(b[p], "b(p)")
+        rows.append((p, label, b[p], first))
+    return rows
 
 
 def multiplicativity_check(phi: Series, bound: int, k: int,

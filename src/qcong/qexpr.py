@@ -158,7 +158,11 @@ class _Parser:
         return self.advance()
 
     def parse(self):
-        node = self.expr()
+        try:
+            node = self.expr()
+        except RecursionError:
+            raise ExprSyntaxError("expression nested too deeply", self.peek()[2],
+                                  {"less nesting"}) from None
         tok = self.peek()
         if tok[0] != "EOF":
             raise ExprSyntaxError(f"trailing input {tok[1]!r}", tok[2],
@@ -269,10 +273,8 @@ def _sparse_mul(dense: list, pairs: list, modulus: int) -> list:
         seg = dense[: L - j]
         if s == 1:
             out[j:] = [o + d for o, d in zip(out[j:], seg)]
-        elif s == -1:
+        else:  # pentagonal signs are +-1
             out[j:] = [o - d for o, d in zip(out[j:], seg)]
-        else:
-            out[j:] = [o + s * d for o, d in zip(out[j:], seg)]
     return [v % modulus for v in out] if modulus else out
 
 
@@ -406,27 +408,30 @@ def evaluate(ast, prec: int, ring: Ring = EXACT) -> Series:
     """
     if prec < 1:
         raise ValueError("prec must be positive")
-    pad = _slack24(ast) // 24 + 1
-    for _ in range(4):
-        val = _eval(ast, prec + pad, ring)
-        if val.off24 % 24:
-            raise NonIntegralExponent(
-                f"net exponent {val.off24}/24 is not an integer"
-            )
-        shift = val.off24 // 24
-        series = val.series
-        if shift < 0:
-            if series.prec < -shift + 1:
-                pad += -shift + 1
-                continue
-            if any(series.coeffs[:-shift]):
-                raise PoleAtOrigin(f"value has a pole of order {-shift} at q = 0")
-            series = series.shifted(shift)
-        elif shift > 0:
-            series = series.shifted(shift)
-        if series.prec >= prec:
-            return Series(ring, series.coeffs[:prec])
-        pad += prec - series.prec
+    try:
+        pad = _slack24(ast) // 24 + 1
+        for _ in range(4):
+            val = _eval(ast, prec + pad, ring)
+            if val.off24 % 24:
+                raise NonIntegralExponent(
+                    f"net exponent {val.off24}/24 is not an integer"
+                )
+            shift = val.off24 // 24
+            series = val.series
+            if shift < 0:
+                if series.prec < -shift + 1:
+                    pad += -shift + 1
+                    continue
+                if any(series.coeffs[:-shift]):
+                    raise PoleAtOrigin(f"value has a pole of order {-shift} at q = 0")
+                series = series.shifted(shift)
+            elif shift > 0:
+                series = series.shifted(shift)
+            if series.prec >= prec:
+                return Series(ring, series.coeffs[:prec])
+            pad += prec - series.prec
+    except RecursionError:
+        raise ValueError("expression nested or chained too deeply") from None
     raise RuntimeError("internal precision bookkeeping failed to converge")
 
 

@@ -466,6 +466,11 @@ def test_scan_empty(capsys):
                        "--ell", "23", "--R", "1", "--B", "2",
                        "--bound", "4", "--prec", "8")
     assert code == 0 and out.strip() == ""
+    for ell, bound in (("23", "4"), ("5", "6")):
+        code, out, err = run(capsys, "scan", "--delta", "-8", "--r", "4", "--ell", ell,
+                             "--R", "1", "--B", "2", "--bound", bound, "--prec", "8",
+                             "--json")
+        assert code == 0 and err == "" and json.loads(out)["rows"] == []
 
 
 def test_scan_json(capsys):
@@ -496,6 +501,44 @@ def test_phi_zero_normalizer_exit_4(capsys, tmp_path):
         assert err.startswith("error: ZeroNormalizer:"), argv
         assert len(err.splitlines()) == 1, argv
         assert list(tmp_path.iterdir()) == [], argv
+
+
+# scan requests whose bound leaves no prime to check (4, or 6 with ell = 5):
+# (argv without --bound, that bound, the exit code at any bound)
+NO_PRIME_SCANS = [
+    (("--delta", "-15", "--r", "3", "--ell", "17", "--R", "1", "--B", "2",
+      "--prec", "5"), "4", 2),                          # 17 splits for -15
+    (("--delta", "-71", "--r", "1", "--ell", "5", "--R", "1", "--B", "2",
+      "--prec", "5"), "6", 2),                          # 5 splits for -71
+    ((*ZERO_TWIST, *ZERO_SETTING, "--prec", "5"), "4", 4),
+    ((*ZERO_TWIST, "--ell", "5", "--R", "1", "--B", "2", "--prec", "5"), "6", 4),
+    ((*TWIST, "--prec", "0"), "4", 2),
+]
+
+
+@pytest.mark.parametrize("argv, bound, expect", NO_PRIME_SCANS)
+def test_scan_with_no_prime_is_checked_as_at_any_bound(capsys, tmp_path, argv,
+                                                       bound, expect):
+    # a bound below the first scanned prime does not skip the request check
+    results = []
+    for b in (bound, "30"):
+        cache_dir = tmp_path / b
+        results.append(run(capsys, "scan", *argv, "--bound", b,
+                           "--cache-dir", str(cache_dir)))
+        assert not cache_dir.exists()
+    code, out, err = results[0]
+    assert results[0] == results[1]
+    assert code == expect and out == "" and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("expression", ["+".join(["1"] * 1000),
+                                        "(" * 300 + "1" + ")" * 300],
+                         ids=["chain", "nesting"])
+def test_eval_too_deep_exit_2(capsys, expression):
+    # a chain or a nesting past the recursion limit is an input error
+    code, out, err = run(capsys, "eval", expression, "--prec", "3")
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "too deeply" in err
 
 
 def test_phi_rational_expansion_exit_2(capsys, tmp_path):

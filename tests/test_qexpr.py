@@ -71,6 +71,20 @@ def test_parse_errors():
         assert exc.value.offset == len(text) - 2, text
 
 
+def test_parse_too_deep_is_a_syntax_error():
+    # nesting past the recursion limit is reported at the token reached
+    text = "(" * 300 + "1" + ")" * 300
+    with pytest.raises(ExprSyntaxError, match="nested too deeply") as exc:
+        parse(text)
+    assert text[exc.value.offset] == "("
+
+
+def test_evaluate_too_deep_is_a_value_error():
+    # the parser reads a chain iteratively, but its tree is 1000 deep
+    with pytest.raises(ValueError, match="too deeply"):
+        evaluate(parse("+".join(["1"] * 1000)), 3)
+
+
 CORPUS = [
     "eta(q)^24",
     "E4(q)",
