@@ -22,7 +22,7 @@ from .borcherds import (
     predict_coefficient,
 )
 from .hecke import LEVEL, CongruenceSetting, density_scan, eigencheck, sturm_bound
-from .mocktheta import MockTables
+from .mocktheta import MAX_TABLE_D, MAX_TABLE_INDEX, MockTables
 from .qexpr import evaluate, parse
 from .series import Ring
 
@@ -107,6 +107,11 @@ def cmd_certify(args) -> int:
     params, setting, tables = _congruence_request(args)
     prec = sturm_bound(setting.k, LEVEL) if args.prec is None else args.prec
     eigen = EigenData(setting, args.p, args.lam)
+    for M in args.M:  # M's size first (p >= 5), so p ** M is never huge
+        if M >= MAX_TABLE_D.bit_length() or args.p ** M > MAX_TABLE_D:
+            _normalizer(params)  # when c(1) = 0, c(p^M) = 0 reads no table
+            raise ValueError(f"table index of c({args.p}^{M}) is above the limit "
+                             f"{MAX_TABLE_INDEX}")
     predictions = [
         (M,) + predict_coefficient(params, M, eigen) for M in args.M
     ]
@@ -225,7 +230,7 @@ def main(argv=None) -> int:
     except cache.CacheError as exc:
         print(f"cache error: {exc}", file=sys.stderr)
         return EXIT_CACHE
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NORMALIZER if isinstance(exc, ZeroNormalizer) else EXIT_USAGE
 

@@ -2,12 +2,11 @@
 weight bookkeeping, eigencheck certification mod ell^R and prime scans,
 which are checked, sized and expanded on one path, `_expansion`."""
 
-from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from math import gcd
 
 from .borcherds import TwistParams, _normalizer, check_prime, phi_star
-from .mocktheta import MAX_TABLE_INDEX, MockTables, required_depth
+from .mocktheta import MAX_TABLE_D, MockTables, required_depth
 from .ntheory import factorize, is_prime, primes_up_to, splitting_type
 from .series import Ring, Series
 
@@ -177,22 +176,6 @@ def eigencheck(params: TwistParams, setting: CongruenceSetting, p: int,
     )
 
 
-def _scan_limit(params: TwistParams, ell: int, prime_bound: int, prec: int) -> int:
-    """The largest p <= prime_bound whose expansion, to _depth(p, prec), needs
-    no table index above MAX_TABLE_INDEX (the need grows with p), found
-    without sieving; a ValueError if a scanned prime lies past it."""
-    limit = bisect_left(range(1, prime_bound + 1), True, key=lambda p: max(
-        required_depth(params.delta, params.r, _depth(p, prec)).values())
-        > MAX_TABLE_INDEX)
-    q = limit + 1
-    while q <= prime_bound and (not is_prime(q) or q in (2, 3, ell)):
-        q += 1
-    if q <= prime_bound:
-        raise ValueError(f"prime {q} <= bound {prime_bound} needs a table "
-                         f"index above the limit {MAX_TABLE_INDEX}")
-    return limit
-
-
 def density_scan(params: TwistParams, setting: CongruenceSetting,
                  prime_bound: int, prec: int, tables: MockTables = None) -> list:
     """Classify every prime p <= prime_bound (p not in {2, 3, ell}) by its
@@ -201,11 +184,12 @@ def density_scan(params: TwistParams, setting: CongruenceSetting,
     labelled '0', '2' or 'b(p)' by that value, a failing one 'other' with
     the first residual index.
 
-    The primes left after `_scan_limit`, even none, go through `_expansion`.
+    The sieve stops at MAX_TABLE_D, past which no prime is within the table
+    limit; the primes, even none, go through `_expansion`.
     Returns rows (p, classification, lambda, first_failure) in prime order.
     """
-    limit = _scan_limit(params, setting.ell, prime_bound, prec)
-    primes = [p for p in primes_up_to(limit) if p not in (2, 3, setting.ell)]
+    primes = [p for p in primes_up_to(min(prime_bound, MAX_TABLE_D))
+              if p not in (2, 3, setting.ell)]
     b, ring, _ = _expansion(params, setting, primes, prec, tables)
     rows = []
     for p in primes:

@@ -15,6 +15,11 @@ F_DENOMINATOR_EXPONENT = 1
 # paper's M = 5 row, and short of its M = 6 row at 162760416.
 MAX_TABLE_INDEX = 10 ** 8
 
+# No c(d) with d > MAX_TABLE_D reads a table index within MAX_TABLE_INDEX:
+# every twist has |delta| >= 8, and c(d) reads a_f((|delta| d^2 + 1)/24) or
+# a_omega((|delta| d^2 - 8)/12).
+MAX_TABLE_D = isqrt(3 * MAX_TABLE_INDEX)
+
 
 def omega_coeffs(N: int, ring: Ring = EXACT) -> list:
     """a_omega(0..N) for omega(q) = sum_n q^(2n(n+1)) / ((1-q)(1-q^3)...(1-q^(2n+1)))^2.
@@ -66,7 +71,10 @@ def _check_index(upto: int):
     if upto < 0:
         raise ValueError(f"table index {upto} must be nonnegative")
     if upto > MAX_TABLE_INDEX:
-        raise ValueError(f"table index {upto} is above the limit {MAX_TABLE_INDEX}")
+        # str() refuses an int of more than 4300 digits: a long one shows its size
+        digits = upto.bit_length() * 30103 // 100000 + 1
+        shown = upto if digits <= 100 else f"of about {digits} digits"
+        raise ValueError(f"table index {shown} is above the limit {MAX_TABLE_INDEX}")
 
 
 class MockTables:
@@ -183,6 +191,7 @@ def c_series(delta: int, r: int, D: int, ring: Ring,
 
 __all__ = [
     "CPLUS_DISPATCH",
+    "MAX_TABLE_D",
     "MAX_TABLE_INDEX",
     "MockTables",
     "c_plus",

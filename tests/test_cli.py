@@ -167,9 +167,15 @@ def test_cold_certify_cache_files(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     ("coeffs", "--function", "omega", "--upto", str(10 ** 23)),
     ("certify", *TWIST, "--p", "5", "--M", "40"),
-], ids=["coeffs", "certify"])
+    ("certify", *TWIST, "--p", "5", "--M", "1", "100000"),
+    ("certify", *TWIST, "--p", "5", "--M", "1", "100000000"),
+    ("heckecheck", *TWIST, "--p", "5", "--prec", str(10 ** 3000)),
+    ("phi", "--delta", "-8", "--r", "4", "--prec", str(10 ** 3000)),
+], ids=["coeffs", "certify", "certify-M1e5", "certify-M1e8", "heckecheck-prec3001",
+        "phi-prec3001"])
 def test_table_index_above_limit_exit_2(capsys, tmp_path, argv):
-    # refused at once, before any table is built or any cache dir is made
+    # refused at once, before any table is built or any cache dir is made;
+    # an index of thousands of digits is shown by its size, never by str()
     cache_dir = tmp_path / "cache"
     start = time.perf_counter()
     code, out, err = run(capsys, *argv, "--cache-dir", str(cache_dir))
@@ -177,6 +183,16 @@ def test_table_index_above_limit_exit_2(capsys, tmp_path, argv):
     assert code == 2 and out == "" and len(err.splitlines()) == 1
     assert err.startswith("error: ValueError: table index") and "above the limit" in err
     assert not cache_dir.exists()
+
+
+def test_memory_error_exit_2(capsys, monkeypatch):
+    # running out of memory is one stderr line and exit 2, not a traceback
+    def builder(N, ring):
+        raise MemoryError("no room")
+
+    monkeypatch.setitem(mocktheta._BUILDERS, "omega", builder)
+    code, out, err = run(capsys, "coeffs", "--function", "omega", "--upto", "5")
+    assert code == 2 and out == "" and err == "error: MemoryError: no room\n"
 
 
 def test_phi_checks_every_table_before_building(capsys, tmp_path, monkeypatch):
@@ -199,11 +215,11 @@ def test_phi_checks_every_table_before_building(capsys, tmp_path, monkeypatch):
 
 
 def test_scan_bound_above_limit_exit_2(capsys, tmp_path, monkeypatch):
-    # the bound is checked against the table limit before any sieve
+    # no prime past MAX_TABLE_D is within the table limit: the sieve stops there
     sieved = []
 
     def primes_up_to(n):
-        assert n < 10 ** 6, f"sieving to {n}"
+        assert n <= mocktheta.MAX_TABLE_D, f"sieving to {n}"
         sieved.append(n)
         return ntheory.primes_up_to(n)
 
@@ -213,9 +229,9 @@ def test_scan_bound_above_limit_exit_2(capsys, tmp_path, monkeypatch):
     code, out, err = run(capsys, "scan", *TWIST, "--bound", str(10 ** 11), "--prec", "10",
                          "--cache-dir", str(cache_dir))
     assert time.perf_counter() - start < 5
-    assert code == 2 and out == "" and sieved == []
-    assert err == ("error: ValueError: prime 1117 <= bound 100000000000 needs a "
-                   "table index above the limit 100000000\n")
+    assert code == 2 and out == "" and sieved == [mocktheta.MAX_TABLE_D]
+    assert err == ("error: ValueError: table index 24189944130 is above the limit "
+                   "100000000\n")
     assert not cache_dir.exists()
 
 
@@ -495,6 +511,7 @@ def test_phi_zero_normalizer_exit_4(capsys, tmp_path):
         ("heckecheck", *ZERO_TWIST, *ZERO_SETTING, "--p", "11", "--prec", "5"),
         ("scan", *ZERO_TWIST, *ZERO_SETTING, "--bound", "30", "--prec", "5"),
         ("certify", *ZERO_TWIST, *ZERO_SETTING, "--p", "11", "--M", "1", "2"),
+        ("certify", *ZERO_TWIST, *ZERO_SETTING, "--p", "11", "--M", "1", "10000"),
     ]:
         code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
         assert code == 4 and out == "" and "normalizer" in err, argv
@@ -519,15 +536,18 @@ NO_PRIME_SCANS = [
 @pytest.mark.parametrize("argv, bound, expect", NO_PRIME_SCANS)
 def test_scan_with_no_prime_is_checked_as_at_any_bound(capsys, tmp_path, argv,
                                                        bound, expect):
-    # a bound below the first scanned prime does not skip the request check
+    # a bound below the first scanned prime does not skip the request check,
+    # and one past the table limit does not come first or sieve that far
     results = []
-    for b in (bound, "30"):
+    for b in (bound, "30", str(10 ** 11)):
         cache_dir = tmp_path / b
+        start = time.perf_counter()
         results.append(run(capsys, "scan", *argv, "--bound", b,
                            "--cache-dir", str(cache_dir)))
+        assert time.perf_counter() - start < 5
         assert not cache_dir.exists()
     code, out, err = results[0]
-    assert results[0] == results[1]
+    assert results[0] == results[1] == results[2]
     assert code == expect and out == "" and len(err.splitlines()) == 1
 
 

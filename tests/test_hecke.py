@@ -17,7 +17,15 @@ from qcong.hecke import (
     multiplicativity_check,
     sturm_bound,
 )
-from qcong.mocktheta import MAX_TABLE_INDEX, required_depth
+from qcong import mocktheta
+from qcong.mocktheta import (
+    MAX_TABLE_D,
+    MAX_TABLE_INDEX,
+    MockTables,
+    omega_coeffs,
+    required_depth,
+)
+from qcong.ntheory import is_fundamental_discriminant, primes_up_to
 from qcong.series import EXACT, Ring, Series
 
 PARAMS_84 = TwistParams(-8, 4)
@@ -237,19 +245,59 @@ def test_density_scan(tables_mod23):
     assert density_scan(PARAMS_84, SETTING_23, 4, 10, tables_mod23) == []
 
 
-def test_scan_limit_is_the_last_prime_within_the_table_limit():
+class Built(Exception):
+    """A stubbed builder was reached: the request passed every check."""
+
+
+def test_density_scan_refuses_exactly_past_the_table_limit(monkeypatch):
     # at prec 10 the expansion for p needs indices through 11p - 1; for (-8, 4)
     # p = 1113 is the last to fit MAX_TABLE_INDEX, and 1117 the next prime
     def fits(p):
         return max(required_depth(-8, 4, 11 * p - 1).values()) <= MAX_TABLE_INDEX
 
     assert fits(1113) and not fits(1114)
-    limit = hecke_mod._scan_limit
-    assert limit(PARAMS_84, 23, 1116, 10) == 1113  # no prime in 1114..1116
-    assert limit(PARAMS_84, 23, 1000, 10) == 1000
-    assert limit(PARAMS_84, 1117, 1117, 10) == 1113  # ell is never scanned
-    with pytest.raises(ValueError, match="prime 1117 <= bound 1117"):
-        limit(PARAMS_84, 23, 1117, 10)
+
+    def builder(N, ring):  # the exact table to 0 serves c(1)
+        if ring.modulus:
+            raise Built(N)
+        return omega_coeffs(N, ring)
+
+    monkeypatch.setitem(mocktheta._BUILDERS, "omega", builder)
+
+    def scan(ell, bound):
+        density_scan(PARAMS_84, CongruenceSetting(ell, 1, 2), bound, 10,
+                     MockTables(Ring(ell)))
+
+    with pytest.raises(Built):
+        scan(23, 1116)  # no prime in 1114..1116
+    with pytest.raises(Built):
+        scan(1117, 1117)  # ell is never scanned
+    with pytest.raises(ValueError, match="table index 100630530 is above the limit"):
+        scan(23, 1117)
+
+
+def test_density_scan_sieves_to_the_table_limit_at_most(monkeypatch):
+    # the request is refused for its prec without a sieve past MAX_TABLE_D
+    def sieve(n):
+        assert n <= MAX_TABLE_D, f"sieving to {n}"
+        return primes_up_to(n)
+
+    monkeypatch.setattr(hecke_mod, "primes_up_to", sieve)
+    with pytest.raises(ValueError, match="prec = -3 must be at least 1"):
+        density_scan(PARAMS_84, SETTING_23, 10 ** 11, -3)
+
+
+def test_no_c_of_d_past_max_table_d_is_within_the_table_limit():
+    # c(d) reads a_f((|delta| d^2 + 1)/24) or a_omega((|delta| d^2 - 8)/12)
+    # with |delta| >= 8, so every d past MAX_TABLE_D reads past the limit
+    assert (8 * (MAX_TABLE_D + 1) ** 2 + 1) // 24 > MAX_TABLE_INDEX
+    twists = [(delta, r) for delta in range(-3, -400, -1)
+              if is_fundamental_discriminant(delta)
+              for r in range(12) if (r * r - delta) % 24 == 0 and r % 3]
+    assert len(twists) > 80  # r divisible by 3 reads no table: c(d) = 0
+    for delta, r in twists:
+        need = required_depth(delta, r, MAX_TABLE_D + 12)
+        assert max(need.values()) > MAX_TABLE_INDEX, (delta, r)
 
 
 def test_density_scan_mod5_eigenform(tables_mod5):

@@ -345,6 +345,10 @@ def test_tables_refuse_index_above_limit(tmp_path):
     t = MockTables(Ring(23), tmp_path / "cache")
     with pytest.raises(ValueError, match="above the limit"):
         t.ensure("f", MAX_TABLE_INDEX + 1)
+    # str() of an int past 4300 digits raises; such an index shows its size
+    with pytest.raises(ValueError, match="^table index of about 5001 digits is "
+                                         "above the limit 100000000$"):
+        t.ensure("f", 10 ** 5000)
     assert t.source["f"] is None and not (tmp_path / "cache").exists()
 
 
