@@ -50,7 +50,6 @@ from .borcherds import (
 )
 from .hecke import (
     CongruenceSetting,
-    HeckeCheckReport,
     InsufficientPrecision,
     SmallPrime,
     density_scan,

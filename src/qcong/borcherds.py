@@ -2,10 +2,9 @@
 products, the divisor-sum transforms between b- and c-coefficients, a
 complex-numeric oracle for the raw expansion, and congruence predictors."""
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .mocktheta import MockTables, c_plus, c_series, cplus_entry
+from .mocktheta import MAX_TABLE_D, MockTables, c_plus, c_series, cplus_entry
 from .ntheory import (
     _fp_gauss_table,
     divisors,
@@ -27,18 +26,18 @@ class NonDivisible(ValueError):
     rational coefficients, which the exact integer ring cannot hold."""
 
 
-@dataclass
 class TwistParams:
-    delta: int
-    r: int
+    """A twist (delta, r): delta a negative fundamental discriminant and
+    delta = r^2 (mod 24)."""
 
-    def __post_init__(self):
-        if self.delta >= 0 or not is_fundamental_discriminant(self.delta):
-            raise ValueError(f"invalid twist: {self.delta} is not a negative "
+    def __init__(self, delta: int, r: int):
+        if delta >= 0 or not is_fundamental_discriminant(delta):
+            raise ValueError(f"invalid twist: {delta} is not a negative "
                              "fundamental discriminant")
-        if (self.r * self.r - self.delta) % 24 != 0:
+        if (r * r - delta) % 24 != 0:
             raise ValueError(f"invalid twist: need delta = r^2 (mod 24), "
-                             f"got r = {self.r}")
+                             f"got r = {r}")
+        self.delta, self.r = delta, r
 
 
 def b_from_c(c: list, n: int, delta: int, ring: Ring) -> int:
@@ -150,12 +149,15 @@ def phi_raw_numeric(params: TwistParams, upto: int,
 
 def check_prime(p: int, ell: int):
     """The one rule for the prime p of an eigencheck or a prediction: p is
-    prime and outside {2, 3, ell}, so every p^M is coprime to 6*ell."""
+    at most MAX_TABLE_D (c(p) of a larger p reads past the table limit;
+    checked first, by size), prime, and outside {2, 3, ell}, so every p^M
+    is coprime to 6*ell."""
+    if p > MAX_TABLE_D:
+        raise ValueError(f"p above {MAX_TABLE_D} reads c(p) past the table limit")
     if not is_prime(p) or p in (2, 3, ell):
         raise ValueError(f"p = {p} must be a prime outside {{2, 3, ell}}")
 
 
-@dataclass
 class EigenData:
     """Eigenvalue data for one prime: rules out b(p^j) mod ell^R.
 
@@ -164,12 +166,9 @@ class EigenData:
     b(p^(2m+1)) = 0 and b(p^(2m)) = (-p^(k-1))^m.
     """
 
-    setting: object
-    p: int
-    lam: int
-
-    def __post_init__(self):
-        check_prime(self.p, self.setting.ell)
+    def __init__(self, setting, p: int, lam: int):
+        self.setting, self.p, self.lam = setting, p, lam
+        check_prime(p, setting.ell)
 
     def b_power(self, j: int) -> int:
         """b(p^j) mod ell^R by b(p^(i+1)) = lam b(p^i) - p^(k-1) b(p^(i-1))."""

@@ -98,9 +98,8 @@ def cmd_phi(args) -> int:
 def cmd_heckecheck(args) -> int:
     params, setting, tables = _congruence_request(args)
     report = eigencheck(params, setting, args.p, args.lam, args.prec, tables)
-    _emit_json({"command": "heckecheck", **report.to_dict(),
-                "table_source": tables.source})
-    return EXIT_OK if report.certified else EXIT_EIGENFAIL
+    _emit_json({"command": "heckecheck", **report, "table_source": tables.source})
+    return EXIT_OK if report["certified"] else EXIT_EIGENFAIL
 
 
 def cmd_certify(args) -> int:
@@ -121,8 +120,8 @@ def cmd_certify(args) -> int:
         rows_need[kind] = max(rows_need.get(kind, 0), index)
     report = eigencheck(params, setting, args.p, args.lam, prec, tables,
                         also_reads=rows_need)
-    if not report.certified:
-        print(f"eigencheck failed at q^{report.first_failure}; "
+    if not report["certified"]:
+        print(f"eigencheck failed at q^{report['first_failure']}; "
               "certification prerequisites not met", file=sys.stderr)
         return EXIT_EIGENFAIL
     rows = [{"M": M, "function": kind, "index": index, "predicted": str(predicted),

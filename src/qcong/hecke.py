@@ -2,7 +2,6 @@
 weight bookkeeping, eigencheck certification mod ell^R and prime scans,
 which are checked, sized and expanded on one path, `_expansion`."""
 
-from dataclasses import asdict, dataclass, field
 from math import gcd
 
 from .borcherds import TwistParams, _normalizer, check_prime, phi_star
@@ -61,61 +60,25 @@ def sturm_bound(k: int, N: int) -> int:
 
 
 def hasse_weight(ell: int, B: int, R: int) -> int:
-    """Weight 2 + (ell-1)*B*R of the holomorphic form obtained by clearing
-    B simple poles with R-th powers of the lifted weight-(ell-1) form."""
+    """Weight 2 + (ell-1)*ell^(R-1)*B of the holomorphic form obtained by
+    clearing B simple poles with the lifted weight-(ell-1) form E = 1
+    (mod ell): E^(ell^(R-1)) = 1 (mod ell^R), and its R-th power is not."""
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
     if ell < 5:
         raise SmallPrime("the weight-(ell-1) lift needs ell >= 5")
-    return 2 + (ell - 1) * B * R
+    return 2 + (ell - 1) * ell ** (R - 1) * B
 
 
-@dataclass
 class CongruenceSetting:
-    ell: int
-    R: int
-    B: int
-    k: int = field(init=False)
+    """ell, R and B of a congruence mod ell^R, with its weight k."""
 
-    def __post_init__(self):
-        if self.B < 1 or self.R < 1:
-            raise ValueError(f"B = {self.B} and R = {self.R} must both be at least 1")
-        self.k = hasse_weight(self.ell, self.B, self.R)
-
-    @property
-    def modulus(self) -> int:
-        return self.ell ** self.R
-
-
-@dataclass
-class HeckeCheckReport:
-    """Outcome of one eigencheck.
-
-    Certification is coefficientwise: the transform minus lambda times the
-    series vanishes mod ell^R through q^verified_prec.  It upgrades to a
-    Sturm-complete proof only when sturm_met holds AND the pole-count
-    hypothesis recorded in B holds for the twist.
-    """
-
-    delta: int
-    r: int
-    ell: int
-    R: int
-    B: int
-    k: int
-    p: int
-    lam: int
-    requested_prec: int
-    verified_prec: int
-    certified: bool
-    first_failure: int
-    sturm: int
-    sturm_met: bool
-    table_depth: dict
-
-    def to_dict(self) -> dict:
-        json_keys = {"k": "weight", "lam": "lambda", "sturm": "sturm_bound"}
-        return {json_keys.get(k, k): v for k, v in asdict(self).items()}
+    def __init__(self, ell: int, R: int, B: int):
+        if B < 1 or R < 1:
+            raise ValueError(f"B = {B} and R = {R} must both be at least 1")
+        self.ell, self.R, self.B = ell, R, B
+        self.k = hasse_weight(ell, B, R)
+        self.modulus = ell ** R
 
 
 def _depth(p: int, prec: int) -> int:
@@ -154,26 +117,32 @@ def _expansion(params: TwistParams, setting: CongruenceSetting, primes: list,
 
 def eigencheck(params: TwistParams, setting: CongruenceSetting, p: int,
                lam: int, prec: int, tables: MockTables = None,
-               also_reads: dict = None) -> HeckeCheckReport:
+               also_reads: dict = None) -> dict:
     """Verify Phi* | T_{p,k} = lam * Phi* (mod ell^R) coefficientwise
     through q^prec, at the pole-clearing weight; reports the first failing
     index if any.  Phi* comes from `_expansion`, the one path of every
     congruence request, which also ensures each table to `also_reads`
     ({kind: deepest index the caller reads afterwards}).
+
+    Returns the report `heckecheck --json` prints.  Certification is
+    coefficientwise: the transform minus lambda times the series vanishes
+    mod ell^R through q^verified_prec.  It upgrades to a Sturm-complete
+    proof only when sturm_met holds AND the pole-count hypothesis recorded
+    in B holds for the twist.
     """
     b, ring, table_depth = _expansion(params, setting, [p], prec, tables,
                                       also_reads)
     first = _first_residual(b, p, setting.k, lam, prec, ring)
     sturm = sturm_bound(setting.k, LEVEL)
-    return HeckeCheckReport(
-        delta=params.delta, r=params.r, ell=setting.ell, R=setting.R,
-        B=setting.B, k=setting.k, p=p, lam=lam,
-        requested_prec=prec,
-        verified_prec=prec if first is None else first - 1,
-        certified=first is None, first_failure=first,
-        sturm=sturm, sturm_met=prec >= sturm,
-        table_depth=table_depth,
-    )
+    return {
+        "delta": params.delta, "r": params.r, "ell": setting.ell,
+        "R": setting.R, "B": setting.B, "weight": setting.k, "p": p,
+        "lambda": lam, "requested_prec": prec,
+        "verified_prec": prec if first is None else first - 1,
+        "certified": first is None, "first_failure": first,
+        "sturm_bound": sturm, "sturm_met": prec >= sturm,
+        "table_depth": table_depth,
+    }
 
 
 def density_scan(params: TwistParams, setting: CongruenceSetting,
@@ -241,7 +210,6 @@ def multiplicativity_check(phi: Series, bound: int, k: int,
 __all__ = [
     "LEVEL",
     "CongruenceSetting",
-    "HeckeCheckReport",
     "InsufficientPrecision",
     "SmallPrime",
     "density_scan",

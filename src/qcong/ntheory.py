@@ -85,8 +85,35 @@ def divisors(n: int) -> list:
     return small + large[::-1]
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster 2015); is_prime refuses anything at or above it.
+_PRIME_TEST_BOUND = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    return n > 1 and factorize(n) == {n: 1}
+    """Deterministic Miller-Rabin, exact for n < _PRIME_TEST_BOUND."""
+    if n >= _PRIME_TEST_BOUND:
+        raise ValueError(f"primality is decided only below {_PRIME_TEST_BOUND}")
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def primes_up_to(n: int) -> list:

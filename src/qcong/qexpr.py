@@ -17,8 +17,6 @@ tracked in 24ths; the net exponent of a full expression must be an integer,
 applied as a q-shift.
 """
 
-from dataclasses import dataclass
-
 from .series import (
     EXACT,
     ExponentMismatch,
@@ -51,56 +49,9 @@ class PoleAtOrigin(ValueError):
     """The value has a genuine pole at q = 0 and is not a power series."""
 
 
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Div:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Eta:
-    scale: int
-
-
-@dataclass(frozen=True)
-class Eis:
-    weight: int
-    scale: int
-
-
-@dataclass(frozen=True)
-class IntConst:
-    value: int
-
-
-@dataclass(frozen=True)
-class QMonomial:
-    exponent: int
-
+# AST nodes are tagged tuples: ("+", l, r), ("-", l, r), ("*", l, r),
+# ("/", l, r), ("^", base, e), ("eta", scale), ("E", weight, scale),
+# ("int", v) and ("q", e).
 
 # ---------------------------------------------------------------- tokenizer
 
@@ -174,7 +125,7 @@ class _Parser:
         while self.peek()[0] in ("+", "-"):
             op = self.advance()[0]
             rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
+            node = (op, node, rhs)
         return node
 
     def term(self):
@@ -182,22 +133,22 @@ class _Parser:
         while self.peek()[0] in ("*", "/"):
             op = self.advance()[0]
             rhs = self.factor()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
+            node = (op, node, rhs)
         return node
 
     def factor(self):
         if self.peek()[0] == "-":
             self.advance()
             inner = self.factor()
-            if isinstance(inner, IntConst):
-                return IntConst(-inner.value)
-            return Mul(IntConst(-1), inner)
+            if inner[0] == "int":
+                return ("int", -inner[1])
+            return ("*", ("int", -1), inner)
         node = self.atom()
         if self.peek()[0] == "^":
             self.advance()
             if self.tokens[self.pos - 2][1] == "q":  # q^k takes the one caret
-                return QMonomial(self.posint("positive integer exponent"))
-            node = Pow(node, self.signed_int())
+                return ("q", self.posint("positive integer exponent"))
+            node = ("^", node, self.signed_int())
         return node
 
     def signed_int(self) -> int:
@@ -233,7 +184,7 @@ class _Parser:
         kind, value, off = tok
         if kind == "INT":
             self.advance()
-            return IntConst(int(value))
+            return ("int", int(value))
         if kind == "(":
             self.advance()
             node = self.expr()
@@ -242,15 +193,15 @@ class _Parser:
         if kind == "NAME":
             self.advance()
             if value == "q":
-                return QMonomial(1)
+                return ("q", 1)
             if value == "eta":
-                return Eta(self.q_argument())
+                return ("eta", self.q_argument())
             if value.startswith("E") and value[1:].isdigit():
                 weight = int(value[1:])
                 if weight < 2 or weight % 2:
                     raise ExprSyntaxError("Eisenstein weight must be even and positive",
                                           off, {"even positive weight"})
-                return Eis(weight, self.q_argument())
+                return ("E", weight, self.q_argument())
             raise ExprSyntaxError(f"unknown name {value!r}", off,
                                   {"'eta'", "'E<weight>'", "'q'"})
         raise ExprSyntaxError(f"unexpected {value or 'end of input'!r}", off,
@@ -258,7 +209,7 @@ class _Parser:
 
 
 def parse(text: str):
-    """Parse an expression into its AST."""
+    """Parse an expression into its AST, a tree of tagged tuples."""
     return _Parser(text).parse()
 
 
@@ -307,17 +258,18 @@ def _slack24(node) -> int:
     """Upper bound on |offset| in 24ths that the subtree can produce.
 
     q-monomials count in full: dividing by q^e shifts the lattice by e."""
-    if isinstance(node, Eta):
-        return node.scale
-    if isinstance(node, QMonomial):
-        return 24 * node.exponent
-    if isinstance(node, (IntConst, Eis)):
+    tag = node[0]
+    if tag == "eta":
+        return node[1]
+    if tag == "q":
+        return 24 * node[1]
+    if tag in ("int", "E"):
         return 0
-    if isinstance(node, Pow):
-        return _slack24(node.base) * abs(node.exponent)
-    if isinstance(node, (Add, Sub)):
-        return max(_slack24(node.left), _slack24(node.right))
-    return _slack24(node.left) + _slack24(node.right)
+    if tag == "^":
+        return _slack24(node[1]) * abs(node[2])
+    if tag in ("+", "-"):
+        return max(_slack24(node[1]), _slack24(node[2]))
+    return _slack24(node[1]) + _slack24(node[2])
 
 
 def _align(a: _Val, b: _Val) -> tuple:
@@ -353,49 +305,50 @@ def _invert_with_valuation(val: _Val, ring: Ring) -> _Val:
 
 def _eval(node, prec: int, ring: Ring) -> _Val:
     m = ring.modulus
-    if isinstance(node, IntConst):
-        return _Val(Series(ring, [node.value], prec=prec), 0)
-    if isinstance(node, QMonomial):
-        return _Val(Series.monomial(ring, node.exponent, prec), 0)
-    if isinstance(node, Eta):
-        return _Val(Series(ring, pentagonal_coefficients(node.scale, prec)),
-                    node.scale)
-    if isinstance(node, Eis):
-        inner = eisenstein(node.weight, (prec + node.scale - 1) // node.scale, ring)
+    tag = node[0]
+    if tag == "int":
+        return _Val(Series(ring, [node[1]], prec=prec), 0)
+    if tag == "q":
+        return _Val(Series.monomial(ring, node[1], prec), 0)
+    if tag == "eta":
+        return _Val(Series(ring, pentagonal_coefficients(node[1], prec)), node[1])
+    if tag == "E":
+        _, weight, scale = node
+        inner = eisenstein(weight, (prec + scale - 1) // scale, ring)
         coeffs = [0] * prec
         for i, c in enumerate(inner.coeffs):
-            if i * node.scale >= prec:
+            if i * scale >= prec:
                 break
-            coeffs[i * node.scale] = c
+            coeffs[i * scale] = c
         return _Val(Series(ring, coeffs), 0)
-    if isinstance(node, (Add, Sub)):
-        a, b = _align(_eval(node.left, prec, ring), _eval(node.right, prec, ring))
-        s = a.series.add(b.series if isinstance(node, Add) else b.series.neg())
+    if tag in ("+", "-"):
+        a, b = _align(_eval(node[1], prec, ring), _eval(node[2], prec, ring))
+        s = a.series.add(b.series if tag == "+" else b.series.neg())
         return _Val(s, a.off24)
-    if isinstance(node, Mul):
-        a = _eval(node.left, prec, ring)
-        b = _eval(node.right, prec, ring)
+    if tag == "*":
+        a = _eval(node[1], prec, ring)
+        b = _eval(node[2], prec, ring)
         return _Val(a.series.mul(b.series), a.off24 + b.off24)
-    if isinstance(node, Div):
-        a = _eval(node.left, prec, ring)
-        inv = _invert_with_valuation(_eval(node.right, prec, ring), ring)
+    if tag == "/":
+        a = _eval(node[1], prec, ring)
+        inv = _invert_with_valuation(_eval(node[2], prec, ring), ring)
         return _Val(a.series.mul(inv.series), a.off24 + inv.off24)
-    if isinstance(node, Pow):
-        e = node.exponent
+    if tag == "^":
+        _, base, e = node
         if e == 0:
             return _Val(Series(ring, [1], prec=prec), 0)
-        if isinstance(node.base, Eta):
-            pent = pentagonal_coefficients(node.base.scale, prec)
+        if base[0] == "eta":
+            pent = pentagonal_coefficients(base[1], prec)
             pairs = [(j, s) for j, s in enumerate(pent) if s]
             coeffs = [1] + [0] * (prec - 1)
             op = _sparse_mul if e > 0 else _sparse_div
             for _ in range(abs(e)):
                 coeffs = op(coeffs, pairs, m)
-            return _Val(Series(ring, coeffs), node.base.scale * e)
-        base = _eval(node.base, prec, ring)
+            return _Val(Series(ring, coeffs), base[1] * e)
+        val = _eval(base, prec, ring)
         if e > 0:
-            return _Val(base.series.pow(e), base.off24 * e)
-        inv = _invert_with_valuation(base, ring)
+            return _Val(val.series.pow(e), val.off24 * e)
+        inv = _invert_with_valuation(val, ring)
         return _Val(inv.series.pow(-e), inv.off24 * -e)
     raise TypeError(f"not an expression node: {node!r}")
 
@@ -436,7 +389,6 @@ def evaluate(ast, prec: int, ring: Ring = EXACT) -> Series:
 
 
 __all__ = [
-    "Add", "Div", "Eis", "Eta", "ExprSyntaxError", "IntConst", "Mul",
-    "NonIntegralExponent", "NonUnitDenominator", "PoleAtOrigin", "Pow",
-    "QMonomial", "Sub", "evaluate", "parse",
+    "ExprSyntaxError", "NonIntegralExponent", "NonUnitDenominator",
+    "PoleAtOrigin", "evaluate", "parse",
 ]

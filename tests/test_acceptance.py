@@ -80,9 +80,9 @@ def test_criterion_04_eigencheck_prec_50(tables_mod23):
     t0 = time.perf_counter()
     report = eigencheck(PARAMS_84, setting, 5, 0, 50, tables_mod23)
     elapsed = time.perf_counter() - t0
-    assert report.certified
-    assert report.verified_prec == 50
-    assert report.sturm == 46 and report.sturm_met
+    assert report["certified"]
+    assert report["verified_prec"] == 50
+    assert report["sturm_bound"] == 46 and report["sturm_met"]
     assert elapsed < 300.0
     _report(4, f"T_5 eigencheck mod 23 certified to q^50 in {elapsed:.1f}s")
 

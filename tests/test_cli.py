@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import qcong
 from qcong import cache, hecke, mocktheta, ntheory
 from qcong.cli import main
 from qcong.mocktheta import omega_coeffs
@@ -252,6 +257,30 @@ def test_legacy_text_cache_is_read(capsys, tmp_path, write_legacy_text, name):
     if name == "heckecheck":
         assert json.loads(out)["table_source"] == {"f": None, "omega": "built"}
     assert out == cold_out
+
+
+HUGE_PRIME = "1000000000000000003"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("heckecheck", *TWIST, "--p", HUGE_PRIME, "--prec", "5"),
+     "error: ValueError: p above 17320 reads c(p) past the table limit\n"),
+    (("scan", "--delta", "-8", "--r", "4", "--ell", HUGE_PRIME, "--R", "1",
+      "--B", "2", "--bound", "30", "--prec", "5"),
+     f"error: ValueError: ell = {HUGE_PRIME} splits for delta = -8\n"),
+], ids=["heckecheck-p", "scan-ell"])
+def test_huge_prime_exits_2_at_once(capsys, argv, message):
+    # p is refused by size before any primality test, and ell's primality
+    # test is Miller-Rabin; a child process with a timeout pins the exit
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(qcong.__file__).parents[1]),
+                      os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-m", "qcong.cli", *argv], env=env,
+                           capture_output=True, text=True, timeout=10)
+    assert (child.returncode, child.stdout, child.stderr) == (2, "", message)
+    start = time.perf_counter()
+    assert run(capsys, *argv) == (2, "", message)
+    assert time.perf_counter() - start < 1
 
 
 def test_certify_rejects_bad_prime_before_building(capsys, tmp_path):

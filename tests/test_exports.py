@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +36,15 @@ def test_package_imports_resolve():
             assert hasattr(module, alias.name), (node.module, alias.name)
             bound = getattr(qcong, alias.asname or alias.name)
             assert bound is getattr(module, alias.name)
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # plain classes and tuples keep both modules out of every command's start
+    src = str(Path(qcong.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = ("import sys, qcong.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    child = subprocess.run([sys.executable, "-c", probe], env=env,
+                           capture_output=True, text=True, timeout=60)
+    assert (child.returncode, child.stdout) == (0, "[]\n"), child.stderr

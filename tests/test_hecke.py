@@ -26,7 +26,7 @@ from qcong.mocktheta import (
     required_depth,
 )
 from qcong.ntheory import is_fundamental_discriminant, primes_up_to
-from qcong.series import EXACT, Ring, Series
+from qcong.series import EXACT, Ring, Series, eisenstein
 
 PARAMS_84 = TwistParams(-8, 4)
 SETTING_23 = CongruenceSetting(23, 1, 2)
@@ -103,7 +103,7 @@ def test_level_is_six_for_every_twist(tables_mod23):
     assert LEVEL == 6 and index_gamma0(LEVEL) == 12
     for params in (PARAMS_84, TwistParams(-23, 1)):
         rep = eigencheck(params, SETTING_23, 5, 0, 1, tables_mod23)
-        assert rep.sturm == sturm_bound(46, 6) == 46, params
+        assert rep["sturm_bound"] == sturm_bound(46, 6) == 46, params
 
 
 def test_sturm_bound_monotone():
@@ -119,16 +119,32 @@ def test_hasse_weight():
     assert hasse_weight(23, 2, 1) == 46
     assert hasse_weight(5, 2, 1) == 10
     assert hasse_weight(7, 0, 3) == 2
+    assert hasse_weight(23, 2, 2) == 1014      # 2 + 22 * 23 * 2
+    assert hasse_weight(5, 1, 3) == 102        # 2 + 4 * 25 * 1
     with pytest.raises(SmallPrime):
         hasse_weight(3, 2, 1)
     with pytest.raises(ValueError):
         hasse_weight(9, 2, 1)
+    with pytest.raises(ValueError, match="primality is decided only below"):
+        hasse_weight(10 ** 25 + 13, 2, 1)   # past exact Miller-Rabin
+
+
+def test_hasse_lift_power_is_one_mod_ell_squared():
+    # E_(ell-1) = 1 (mod ell), so its ell^(R-1)-th power is 1 mod ell^R; the
+    # R-th power is not, so the weight is 2 + (ell-1)*ell^(R-1)*B
+    for ell in (5, 7, 23):
+        ring = Ring(ell ** 2)
+        e = eisenstein(ell - 1, 61, ring)
+        one = [1] + [0] * 60
+        assert e.pow(ell).coeffs == one, ell
+        assert e.pow(2).coeffs != one, ell
 
 
 def test_congruence_setting():
     s = CongruenceSetting(23, 1, 2)
     assert s.k == 46 and s.modulus == 23
     assert CongruenceSetting(5, 1, 2).k == 10
+    assert CongruenceSetting(23, 2, 2).k == 1014
     with pytest.raises(TypeError):  # the weight is derived, never given
         CongruenceSetting(23, 1, 2, k=46)
 
@@ -143,19 +159,19 @@ def test_congruence_setting_refuses_B_or_R_below_one(B, R):
 
 def test_eigencheck_certifies(tables_mod23):
     rep = eigencheck(PARAMS_84, SETTING_23, 5, 0, 46, tables_mod23)
-    assert rep.certified and rep.first_failure is None
-    assert rep.sturm == 46 and rep.sturm_met
-    assert rep.verified_prec == 46
+    assert rep["certified"] and rep["first_failure"] is None
+    assert rep["sturm_bound"] == 46 and rep["sturm_met"]
+    assert rep["verified_prec"] == 46
     # depth 5 * 47 - 1 = 234 reads no table (3 divides its key); 233 reads omega
-    assert rep.table_depth["omega"] >= (8 * (5 * 47 - 2) ** 2 - 8) // 12
-    assert rep.table_depth["f"] == 0
+    assert rep["table_depth"]["omega"] >= (8 * (5 * 47 - 2) ** 2 - 8) // 12
+    assert rep["table_depth"]["f"] == 0
 
 
 def test_eigencheck_wrong_lambda(tables_mod23):
     rep = eigencheck(PARAMS_84, SETTING_23, 5, 1, 23, tables_mod23)
-    assert not rep.certified
-    assert rep.first_failure == 1  # b(5) = 0 != 1 * b(1)
-    assert rep.verified_prec == 0
+    assert not rep["certified"]
+    assert rep["first_failure"] == 1  # b(5) = 0 != 1 * b(1)
+    assert rep["verified_prec"] == 0
 
 
 def test_eigencheck_self_lambda(tables_mod23):
@@ -163,7 +179,7 @@ def test_eigencheck_self_lambda(tables_mod23):
     phi = phi_star(PARAMS_84, 200, Ring(23), tables_mod23)
     bp = phi.coeffs[7]
     rep = eigencheck(PARAMS_84, SETTING_23, 7, bp, 10, tables_mod23)
-    assert rep.first_failure != 1
+    assert rep["first_failure"] != 1
 
 
 def test_eigencheck_validation(tables_mod23):
@@ -201,9 +217,9 @@ def test_eigencheck_sensitivity(tables_mod23, monkeypatch):
         return eigencheck(PARAMS_84, SETTING_23, 5, 0, prec, tables_mod23)
 
     for idx in (5, 10, 50, 100, 2, 3, 4):
-        assert not flipped(idx).certified, idx
+        assert not flipped(idx)["certified"], idx
     # an index the weight-k action never consults is invisible to T_5
-    assert flipped(7).certified
+    assert flipped(7)["certified"]
 
 
 def test_multiplicativity_mod5(tables_mod5):

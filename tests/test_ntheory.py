@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from qcong import ntheory
 from qcong.ntheory import (
     NotInvertible,
     _fp_gauss_table,
@@ -164,6 +165,21 @@ def test_gauss_ratio_identity_all_a():
             lhs = gauss_sum_numeric(a, delta)
             rhs = kronecker(delta, a) * g1
             assert abs(lhs - rhs) < 1e-6, (a, delta)
+
+
+def test_is_prime_strong_pseudoprimes_and_bound():
+    # the least strong pseudoprimes to the first 1, 4, 9 and 12 prime bases,
+    # a Carmichael number, then primes just below 2^61 and 2^64, and 10^18 + 3
+    for n in (2047, 3215031751, 3825123056546413051,
+              318665857834031151167461, 561):
+        assert not is_prime(n), n
+    for n in (2 ** 61 - 1, 2 ** 64 - 59, 10 ** 18 + 3):
+        assert is_prime(n), n
+    assert not is_prime(ntheory._PRIME_TEST_BOUND - 1)  # even
+    # the least strong pseudoprime to the first 13 prime bases: refused
+    for n in (ntheory._PRIME_TEST_BOUND, 10 ** 5000):
+        with pytest.raises(ValueError, match="primality is decided only below"):
+            is_prime(n)
 
 
 def test_is_prime_matches_sieve():

@@ -4,19 +4,10 @@ import pytest
 
 from qcong.ntheory import NotInvertible
 from qcong.qexpr import (
-    Add,
-    Div,
-    Eis,
-    Eta,
     ExprSyntaxError,
-    IntConst,
-    Mul,
     NonIntegralExponent,
     NonUnitDenominator,
     PoleAtOrigin,
-    Pow,
-    QMonomial,
-    Sub,
     evaluate,
     parse,
 )
@@ -24,26 +15,28 @@ from qcong.series import EXACT, ExponentMismatch, Ring, eta_product
 
 
 def test_parse_examples():
-    assert parse("eta(q)^24") == Pow(Eta(1), 24)
+    eta = ("eta", 1)
+    assert parse("eta(q)^24") == ("^", eta, 24)
     ast = parse("E4(q^2)*eta(q)/eta(q^3)^2")
-    assert ast == Div(Mul(Eis(4, 2), Eta(1)), Pow(Eta(3), 2))
-    assert parse("q") == QMonomial(1)
-    assert parse("q^5") == QMonomial(5)
-    assert parse("  eta( q ) ^ 24 ") == Pow(Eta(1), 24)
-    assert parse("-3") == IntConst(-3)
-    assert parse("-eta(q)") == Mul(IntConst(-1), Eta(1))
+    assert ast == ("/", ("*", ("E", 4, 2), eta), ("^", ("eta", 3), 2))
+    assert parse("q") == ("q", 1)
+    assert parse("q^5") == ("q", 5)
+    assert parse("  eta( q ) ^ 24 ") == ("^", eta, 24)
+    assert parse("-3") == ("int", -3)
+    assert parse("-eta(q)") == ("*", ("int", -1), eta)
     assert parse("2-3") == parse("2 - 3")
-    assert parse("eta(q)^-24") == Pow(Eta(1), -24)
-    assert parse("(1+q)^2") == Pow(Add(IntConst(1), QMonomial(1)), 2)
+    assert parse("eta(q)^-24") == ("^", eta, -24)
+    assert parse("(1+q)^2") == ("^", ("+", ("int", 1), ("q", 1)), 2)
     # associativity, precedence and the power of a parenthesized monomial
-    assert parse("2-3-4") == Sub(Sub(IntConst(2), IntConst(3)), IntConst(4))
-    assert parse("2-(3-4)") == Sub(IntConst(2), Sub(IntConst(3), IntConst(4)))
-    assert parse("eta(q)/eta(q^2)/eta(q^3)") == Div(Div(Eta(1), Eta(2)), Eta(3))
-    assert parse("-eta(q)^2") == Mul(IntConst(-1), Pow(Eta(1), 2))
-    assert parse("(q^2)^3") == Pow(QMonomial(2), 3)
-    assert parse("(q)^2") == Pow(QMonomial(1), 2)
-    assert parse("2*3+4*5") == Add(Mul(IntConst(2), IntConst(3)),
-                                   Mul(IntConst(4), IntConst(5)))
+    assert parse("2-3-4") == ("-", ("-", ("int", 2), ("int", 3)), ("int", 4))
+    assert parse("2-(3-4)") == ("-", ("int", 2), ("-", ("int", 3), ("int", 4)))
+    assert parse("eta(q)/eta(q^2)/eta(q^3)") == ("/", ("/", eta, ("eta", 2)),
+                                                 ("eta", 3))
+    assert parse("-eta(q)^2") == ("*", ("int", -1), ("^", eta, 2))
+    assert parse("(q^2)^3") == ("^", ("q", 2), 3)
+    assert parse("(q)^2") == ("^", ("q", 1), 2)
+    assert parse("2*3+4*5") == ("+", ("*", ("int", 2), ("int", 3)),
+                                ("*", ("int", 4), ("int", 5)))
 
 
 def test_parse_errors():
@@ -111,19 +104,19 @@ def _random_ast(rng, depth=0):
         pool += ["add", "mul", "pow"]
     kind = rng.choice(pool)
     if kind == "int":
-        return IntConst(rng.randint(-9, 9) or 1)
+        return ("int", rng.randint(-9, 9) or 1)
     if kind == "q":
-        return QMonomial(rng.randint(1, 4))
+        return ("q", rng.randint(1, 4))
     if kind == "eta24":
         t = rng.choice((1, 2, 3))
-        return Pow(Eta(t), 24 // t * rng.choice((1, 2)))
+        return ("^", ("eta", t), 24 // t * rng.choice((1, 2)))
     if kind == "eis":
-        return Eis(rng.choice((4, 6)), rng.randint(1, 3))
+        return ("E", rng.choice((4, 6)), rng.randint(1, 3))
     if kind == "add":
-        return Add(_random_ast(rng, depth + 1), _random_ast(rng, depth + 1))
+        return ("+", _random_ast(rng, depth + 1), _random_ast(rng, depth + 1))
     if kind == "mul":
-        return Mul(_random_ast(rng, depth + 1), _random_ast(rng, depth + 1))
-    return Pow(_random_ast(rng, depth + 1), rng.randint(2, 3))
+        return ("*", _random_ast(rng, depth + 1), _random_ast(rng, depth + 1))
+    return ("^", _random_ast(rng, depth + 1), rng.randint(2, 3))
 
 
 def test_evaluate_examples():
@@ -197,7 +190,7 @@ def test_distributivity_random():
         a = _random_ast(rng, depth=2)
         b = _random_ast(rng, depth=2)
         try:
-            lhs = evaluate(Mul(a, b), 16)
+            lhs = evaluate(("*", a, b), 16)
         except (NonIntegralExponent, PoleAtOrigin):
             continue
         va = evaluate(a, 16 + 8)
