@@ -207,8 +207,6 @@ __all__ = [
     "ZeroNormalizer",
     "b_from_c",
     "c_from_b",
-    "check_prime",
-    "exact_c1",
     "phi_raw_numeric",
     "phi_star",
     "predict_coefficient",

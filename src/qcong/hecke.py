@@ -16,6 +16,10 @@ from .series import Ring, Series
 # 2010): the Sturm bound uses level 6 whatever the twist.
 LEVEL = 6
 
+# heckecheck and certify print the weight k, and by default str() prints no
+# int past 4300 digits: hasse_weight bounds k's bits before forming ell^(R-1).
+MAX_WEIGHT_BITS = 14284  # 2^14284 < 10^4300
+
 
 class SmallPrime(ValueError):
     """The pole-clearing lift needs ell >= 5."""
@@ -67,6 +71,10 @@ def hasse_weight(ell: int, B: int, R: int) -> int:
         raise ValueError(f"{ell} is not prime")
     if ell < 5:
         raise SmallPrime("the weight-(ell-1) lift needs ell >= 5")
+    if ((ell - 1).bit_length() + (R - 1) * ell.bit_length() + B.bit_length()
+            + 1 > MAX_WEIGHT_BITS):
+        raise ValueError("the weight 2 + (ell-1)*ell^(R-1)*B may have more "
+                         "than 4300 digits, too many to print")
     return 2 + (ell - 1) * ell ** (R - 1) * B
 
 
@@ -208,7 +216,6 @@ def multiplicativity_check(phi: Series, bound: int, k: int,
 
 
 __all__ = [
-    "LEVEL",
     "CongruenceSetting",
     "InsufficientPrecision",
     "SmallPrime",

@@ -190,9 +190,6 @@ def c_series(delta: int, r: int, D: int, ring: Ring,
 
 
 __all__ = [
-    "CPLUS_DISPATCH",
-    "MAX_TABLE_D",
-    "MAX_TABLE_INDEX",
     "MockTables",
     "c_plus",
     "c_series",

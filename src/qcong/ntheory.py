@@ -263,14 +263,10 @@ def gauss_sum_numeric(a: int, delta: int) -> complex:
 
 __all__ = [
     "NotInvertible",
-    "divisors",
-    "factorize",
     "gauss_sum_numeric",
     "is_fundamental_discriminant",
-    "is_prime",
     "kronecker",
     "mod_inverse",
     "moebius",
-    "primes_up_to",
     "splitting_type",
 ]

@@ -25,6 +25,7 @@ from .series import (
     eisenstein,
     pentagonal_coefficients,
 )
+from .mocktheta import MAX_TABLE_INDEX
 from .ntheory import NotInvertible
 
 
@@ -48,6 +49,10 @@ class NonIntegralExponent(ValueError):
 class PoleAtOrigin(ValueError):
     """The value has a genuine pole at q = 0 and is not a power series."""
 
+
+# The table limit bounds eval's work before any series is built: the padded
+# length, times the sparse passes of the eta power that makes the most.
+MAX_EVAL_WORK = MAX_TABLE_INDEX
 
 # AST nodes are tagged tuples: ("+", l, r), ("-", l, r), ("*", l, r),
 # ("/", l, r), ("^", base, e), ("eta", scale), ("E", weight, scale),
@@ -272,6 +277,15 @@ def _slack24(node) -> int:
     return _slack24(node[1]) + _slack24(node[2])
 
 
+def _eta_passes(node) -> int:
+    """The most sparse passes that an eta power in the subtree makes."""
+    if node[0] == "^":
+        return abs(node[2]) if node[1][0] == "eta" else _eta_passes(node[1])
+    if node[0] in ("+", "-", "*", "/"):
+        return max(_eta_passes(node[1]), _eta_passes(node[2]))
+    return 0
+
+
 def _align(a: _Val, b: _Val) -> tuple:
     diff = a.off24 - b.off24
     if diff % 24:
@@ -363,7 +377,11 @@ def evaluate(ast, prec: int, ring: Ring = EXACT) -> Series:
         raise ValueError("prec must be positive")
     try:
         pad = _slack24(ast) // 24 + 1
+        passes = max(_eta_passes(ast), 1)
         for _ in range(4):
+            if (prec + pad) * passes > MAX_EVAL_WORK:
+                raise ValueError("the padded length (times an eta power's passes) "
+                                 f"is above the limit {MAX_EVAL_WORK}")
             val = _eval(ast, prec + pad, ring)
             if val.off24 % 24:
                 raise NonIntegralExponent(

@@ -343,8 +343,6 @@ __all__ = [
     "RingMismatch",
     "Series",
     "bernoulli",
-    "binomial_inverse_inplace",
     "eisenstein",
     "eta_product",
-    "pentagonal_coefficients",
 ]

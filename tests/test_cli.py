@@ -271,7 +271,13 @@ HUGE_PRIME = "1000000000000000003"
 ], ids=["heckecheck-p", "scan-ell"])
 def test_huge_prime_exits_2_at_once(capsys, argv, message):
     # p is refused by size before any primality test, and ell's primality
-    # test is Miller-Rabin; a child process with a timeout pins the exit
+    # test is Miller-Rabin
+    assert_exits_2_at_once(capsys, argv, message)
+
+
+def assert_exits_2_at_once(capsys, argv, message):
+    # a child process with a timeout pins the exit, so an unbounded request
+    # fails the test rather than hanging it; then it is timed in process
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(Path(qcong.__file__).parents[1]),
                       os.environ.get("PYTHONPATH")]))}
@@ -281,6 +287,31 @@ def test_huge_prime_exits_2_at_once(capsys, argv, message):
     start = time.perf_counter()
     assert run(capsys, *argv) == (2, "", message)
     assert time.perf_counter() - start < 1
+
+
+WEIGHT_REFUSED = ("error: ValueError: the weight 2 + (ell-1)*ell^(R-1)*B may have "
+                  "more than 4300 digits, too many to print\n")
+EVAL_REFUSED = ("error: ValueError: the padded length (times an eta power's "
+                "passes) is above the limit 100000000\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("heckecheck", *TWIST[:6], "--R", "1000000", "--B", "2", "--p", "5",
+      "--prec", "5"), WEIGHT_REFUSED),
+    (("heckecheck", *TWIST[:6], "--R", "1", "--B", str(10 ** 4299), "--p", "5",
+      "--prec", "5"), WEIGHT_REFUSED),
+    (("eval", "eta(q)^240000", "--prec", "3"), EVAL_REFUSED),
+    (("eval", "(1-q)^-100000000", "--prec", "3"), EVAL_REFUSED),
+    (("eval", "q^100000000", "--prec", "3"), EVAL_REFUSED),
+], ids=["heckecheck-R1e6", "heckecheck-B1e4299", "eval-eta-power",
+        "eval-padded-power", "eval-padded-monomial"])
+def test_unbounded_request_exits_2_at_once(capsys, tmp_path, argv, message):
+    # refused from the request alone: neither ell^R nor the weight is formed,
+    # no table is built and no cache file written, and eval builds no series
+    if argv[0] != "eval":
+        argv += ("--cache-dir", str(tmp_path))
+    assert_exits_2_at_once(capsys, argv, message)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_certify_rejects_bad_prime_before_building(capsys, tmp_path):

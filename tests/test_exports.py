@@ -4,7 +4,9 @@ import os
 import pkgutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -25,17 +27,23 @@ def test_all_names_resolve(name):
 
 
 def test_package_imports_resolve():
-    # every name qcong/__init__.py imports exists in its module and is the
-    # same object on the package
+    # qcong/__init__.py only star-imports modules, so each module's __all__
+    # is the one declaration of what the package exports
     tree = ast.parse(Path(qcong.__file__).read_text(encoding="utf-8"))
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    imports = [node for node in tree.body
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert imports
-    for node in imports:
-        module = importlib.import_module(f"qcong.{node.module}")
-        for alias in node.names:
-            assert hasattr(module, alias.name), (node.module, alias.name)
-            bound = getattr(qcong, alias.asname or alias.name)
-            assert bound is getattr(module, alias.name)
+    assert [[alias.name for alias in node.names] for node in imports] == \
+        [["*"]] * len(imports)
+    modules = [importlib.import_module(f"qcong.{node.module}") for node in imports]
+    for module in modules:
+        assert [n for n in module.__all__
+                if getattr(qcong, n) is not getattr(module, n)] == [], module
+    names = [n for module in modules for n in module.__all__]
+    assert sorted(n for n, count in Counter(names).items() if count > 1) == []
+    public = {n for n in dir(qcong) if not n.startswith("_")
+              and not isinstance(getattr(qcong, n), ModuleType)}
+    assert public == set(names)
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():

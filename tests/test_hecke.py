@@ -129,6 +129,14 @@ def test_hasse_weight():
         hasse_weight(10 ** 25 + 13, 2, 1)   # past exact Miller-Rabin
 
 
+def test_hasse_weight_refuses_an_unprintable_weight():
+    # bounded by bit lengths, so even R = 10**100 is refused before ell**R
+    assert len(str(hasse_weight(23, 2, 2856))) < 4300
+    for ell, B, R in ((23, 2, 2857), (23, 10 ** 4299, 1), (5, 1, 10 ** 100)):
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            hasse_weight(ell, B, R)
+
+
 def test_hasse_lift_power_is_one_mod_ell_squared():
     # E_(ell-1) = 1 (mod ell), so its ell^(R-1)-th power is 1 mod ell^R; the
     # R-th power is not, so the weight is 2 + (ell-1)*ell^(R-1)*B

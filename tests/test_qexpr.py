@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from qcong import qexpr
 from qcong.ntheory import NotInvertible
 from qcong.qexpr import (
     ExprSyntaxError,
@@ -214,3 +215,13 @@ def test_modular_matches_exact_reduction():
 def test_eisenstein_scaled_argument():
     e = evaluate(parse("E4(q^2)"), 5)
     assert e.coeffs == [1, 0, 240, 0, 2160]
+
+
+def test_work_bound_is_padded_length_times_eta_passes(monkeypatch):
+    # eta(q)^24 pads by 24/24 + 1 = 2 and makes 24 passes; q^k pads by k + 1
+    monkeypatch.setattr(qexpr, "MAX_EVAL_WORK", 96)
+    assert evaluate(parse("eta(q)^24"), 2).coeffs == [0, 1]
+    assert evaluate(parse("q^93"), 2).coeffs == [0, 0]
+    for text, prec in (("eta(q)^24", 3), ("q^94", 2), ("(1-q)^-94", 2)):
+        with pytest.raises(ValueError, match="above the limit 96"):
+            evaluate(parse(text), prec)
