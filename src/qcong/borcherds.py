@@ -4,7 +4,7 @@ complex-numeric oracle for the raw expansion, and congruence predictors."""
 
 from fractions import Fraction
 
-from .mocktheta import MAX_TABLE_D, MockTables, c_plus, c_series, cplus_entry
+from .mocktheta import MAX_TABLE_D, MockTables, c_series, cplus_entry
 from .ntheory import (
     _fp_gauss_table,
     divisors,
@@ -81,7 +81,7 @@ def c_from_b(b: list, n: int, delta: int, c1: int, ring: Ring) -> int:
 
 def exact_c1(params: TwistParams) -> int:
     """The exact normalizer c(1), from a depth-1 exact table."""
-    return c_plus(params.delta, params.r, 1, MockTables(EXACT))
+    return c_series(params.delta, params.r, 1, EXACT)[1]
 
 
 def _normalizer(params: TwistParams) -> int:
@@ -120,8 +120,6 @@ def phi_raw_numeric(params: TwistParams, upto: int,
     that fixed-point value undamaged (the coefficients reach hundreds of
     digits, past what a float holds): the real part rounds to the exact
     coefficient and the imaginary part vanishes to the working tolerance."""
-    if tables is not None and tables.ring != EXACT:
-        raise ValueError("the numeric oracle needs exact tables")
     _normalizer(params)
     delta = params.delta
     c = c_series(delta, params.r, upto, EXACT, tables)

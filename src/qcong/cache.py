@@ -30,6 +30,11 @@ from pathlib import Path
 MAGIC = b"QSER1"
 FORMAT_TAG = "qser1"
 
+# NAME_MAX (255 bytes on common file systems) less the 22 bytes that
+# _write_atomic's ".{name}.{16 hex}.tmp" adds; a longer name spells its
+# modulus by the SHA-256 of its decimal string, and lookup reads the header.
+MAX_NAME_BYTES = 233
+
 
 class CacheError(Exception):
     """Unreadable, corrupt, or mismatched cache file, or a cache directory
@@ -41,12 +46,13 @@ def _payload_len(function: str, prec: int) -> int:
 
 
 def _file_name(function: str, modulus: int, prec: int, delta, r) -> str:
-    parts = [function]
-    if delta is not None:
-        parts.append(f"d{delta}_r{r}")
-    parts.append("exact" if modulus == 0 else f"mod{modulus}")
-    parts.append(f"p{prec}")
-    return "_".join(parts) + ".qser"
+    twist = "" if delta is None else f"d{delta}_r{r}_"
+    name = f"{function}_{twist}{f'mod{modulus}' if modulus else 'exact'}_p{prec}.qser"
+    if len(name.encode()) <= MAX_NAME_BYTES:
+        return name
+    import hashlib  # 3 ms to import, paid only by a name this long
+    digest = hashlib.sha256(str(modulus).encode()).hexdigest()
+    return f"{function}_{twist}modsha256-{digest}_p{prec}.qser"
 
 
 def save_coeffs(directory, function: str, values: list, modulus: int,

@@ -117,9 +117,9 @@ def _expansion(params: TwistParams, setting: CongruenceSetting, primes: list,
     ring = Ring(setting.modulus)
     depth = max((_depth(p, prec) for p in primes), default=0)
     table_depth = required_depth(params.delta, params.r, depth)
-    if tables is not None:
-        tables.ensure_all({kind: max(need, (also_reads or {}).get(kind, 0))
-                           for kind, need in table_depth.items()})
+    tables = (tables or MockTables(ring)).ensure_all(
+        {kind: max(need, (also_reads or {}).get(kind, 0))
+         for kind, need in table_depth.items()})
     return phi_star(params, depth, ring, tables).coeffs, ring, table_depth
 
 

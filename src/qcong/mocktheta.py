@@ -154,16 +154,6 @@ def cplus_entry(delta: int, r: int, d: int):
     return kind, -4 * sign, (ad2 - 8) // 12
 
 
-def c_plus(delta: int, r: int, d: int, tables: MockTables) -> int:
-    """Coefficient c(d) of the holomorphic part, read off the f/omega tables
-    through cplus_entry."""
-    entry = cplus_entry(delta, r, d)
-    if entry is None:
-        return 0
-    kind, factor, idx = entry
-    return tables.ring.normalize(factor * tables.ensure(kind, idx).values(kind)[idx])
-
-
 def required_depth(delta: int, r: int, D: int) -> dict:
     """Deepest f/omega table indices needed for c(d), d <= D (0 if unused)."""
     out = {"f": 0, "omega": 0}
@@ -177,21 +167,23 @@ def required_depth(delta: int, r: int, D: int) -> dict:
 
 def c_series(delta: int, r: int, D: int, ring: Ring,
              tables: MockTables = None) -> list:
-    """c(d) for d = 1..D as a list with c[0] = 0, growing tables as needed."""
-    if tables is None:
-        tables = MockTables(ring)
+    """c(d) for d = 1..D as a list with c[0] = 0: the one reader of c(d).
+    Each index is ensured too, as ensure_all skips a need of 0 (a_omega(0))."""
+    tables = tables or MockTables(ring)
     if tables.ring != ring:
         raise ValueError("tables ring does not match requested ring")
     tables.ensure_all(required_depth(delta, r, D))
     out = [0] * (D + 1)
     for d in range(1, D + 1):
-        out[d] = c_plus(delta, r, d, tables)
+        entry = cplus_entry(delta, r, d)
+        if entry is not None:
+            kind, factor, idx = entry
+            out[d] = ring.normalize(factor * tables.ensure(kind, idx).values(kind)[idx])
     return out
 
 
 __all__ = [
     "MockTables",
-    "c_plus",
     "c_series",
     "cplus_entry",
     "f_coeffs",

@@ -17,6 +17,8 @@ tracked in 24ths; the net exponent of a full expression must be an integer,
 applied as a q-shift.
 """
 
+from math import isqrt
+
 from .series import (
     EXACT,
     ExponentMismatch,
@@ -50,9 +52,10 @@ class PoleAtOrigin(ValueError):
     """The value has a genuine pole at q = 0 and is not a power series."""
 
 
-# The table limit bounds eval's work before any series is built: the padded
-# length, times the sparse passes of the eta power that makes the most.
-MAX_EVAL_WORK = MAX_TABLE_INDEX
+# Bounds `_work` before any series is built: eta(q)^24 to q^20000 counts
+# 1.1e8 and took 5 s (CPython 3.11, 2-vCPU VM), so each request that ran in
+# under 5 s stays admitted, and none admitted runs much past 10 s.
+MAX_EVAL_WORK = 2 * 10 ** 8
 
 # AST nodes are tagged tuples: ("+", l, r), ("-", l, r), ("*", l, r),
 # ("/", l, r), ("^", base, e), ("eta", scale), ("E", weight, scale),
@@ -277,12 +280,20 @@ def _slack24(node) -> int:
     return _slack24(node[1]) + _slack24(node[2])
 
 
-def _eta_passes(node) -> int:
-    """The most sparse passes that an eta power in the subtree makes."""
-    if node[0] == "^":
-        return abs(node[2]) if node[1][0] == "eta" else _eta_passes(node[1])
-    if node[0] in ("+", "-", "*", "/"):
-        return max(_eta_passes(node[1]), _eta_passes(node[2]))
+def _work(node, L: int) -> int:
+    """Coefficient operations at padded length L: |e| * L * (pentagonal terms
+    below L) per eta power, L^2/2 per dense product, inverse or squaring."""
+    tag = node[0]
+    if tag == "^" and node[1][0] == "eta":  # s*k(3k -+ 1)/2 < L: 6k -+ 1 <= r
+        r = isqrt(24 * ((L - 1) // node[1][1]) + 1)
+        return abs(node[2]) * L * (1 + (r + 1) // 6 + (r - 1) // 6)
+    if tag == "^":  # pow's squarings and products, after an inverse if e < 0
+        e = abs(node[2])
+        steps = max(e.bit_length() - 1, 0) + e.bit_count() + (node[2] < 0)
+        return _work(node[1], L) + steps * L * L // 2 if e else 0
+    if tag in ("+", "-", "*", "/"):  # "/" inverts, then multiplies
+        steps = {"*": 1, "/": 2}.get(tag, 0)
+        return _work(node[1], L) + _work(node[2], L) + steps * L * L // 2
     return 0
 
 
@@ -328,12 +339,8 @@ def _eval(node, prec: int, ring: Ring) -> _Val:
         return _Val(Series(ring, pentagonal_coefficients(node[1], prec)), node[1])
     if tag == "E":
         _, weight, scale = node
-        inner = eisenstein(weight, (prec + scale - 1) // scale, ring)
         coeffs = [0] * prec
-        for i, c in enumerate(inner.coeffs):
-            if i * scale >= prec:
-                break
-            coeffs[i * scale] = c
+        coeffs[::scale] = eisenstein(weight, (prec + scale - 1) // scale, ring).coeffs
         return _Val(Series(ring, coeffs), 0)
     if tag in ("+", "-"):
         a, b = _align(_eval(node[1], prec, ring), _eval(node[2], prec, ring))
@@ -377,27 +384,24 @@ def evaluate(ast, prec: int, ring: Ring = EXACT) -> Series:
         raise ValueError("prec must be positive")
     try:
         pad = _slack24(ast) // 24 + 1
-        passes = max(_eta_passes(ast), 1)
         for _ in range(4):
-            if (prec + pad) * passes > MAX_EVAL_WORK:
-                raise ValueError("the padded length (times an eta power's passes) "
-                                 f"is above the limit {MAX_EVAL_WORK}")
+            if prec + pad > MAX_TABLE_INDEX:
+                raise ValueError(f"the padded length is above the limit {MAX_TABLE_INDEX}")
+            if _work(ast, prec + pad) > MAX_EVAL_WORK:
+                raise ValueError("the coefficient operations are above the limit "
+                                 f"{MAX_EVAL_WORK}")
             val = _eval(ast, prec + pad, ring)
             if val.off24 % 24:
                 raise NonIntegralExponent(
                     f"net exponent {val.off24}/24 is not an integer"
                 )
             shift = val.off24 // 24
-            series = val.series
-            if shift < 0:
-                if series.prec < -shift + 1:
-                    pad += -shift + 1
-                    continue
-                if any(series.coeffs[:-shift]):
-                    raise PoleAtOrigin(f"value has a pole of order {-shift} at q = 0")
-                series = series.shifted(shift)
-            elif shift > 0:
-                series = series.shifted(shift)
+            if shift < 0 and val.series.prec < -shift + 1:
+                pad += -shift + 1
+                continue
+            if shift < 0 and any(val.series.coeffs[:-shift]):
+                raise PoleAtOrigin(f"value has a pole of order {-shift} at q = 0")
+            series = val.series.shifted(shift)
             if series.prec >= prec:
                 return Series(ring, series.coeffs[:prec])
             pad += prec - series.prec

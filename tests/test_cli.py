@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -291,8 +292,9 @@ def assert_exits_2_at_once(capsys, argv, message):
 
 WEIGHT_REFUSED = ("error: ValueError: the weight 2 + (ell-1)*ell^(R-1)*B may have "
                   "more than 4300 digits, too many to print\n")
-EVAL_REFUSED = ("error: ValueError: the padded length (times an eta power's "
-                "passes) is above the limit 100000000\n")
+EVAL_WORK_REFUSED = ("error: ValueError: the coefficient operations are above "
+                     "the limit 200000000\n")
+EVAL_LENGTH_REFUSED = "error: ValueError: the padded length is above the limit 100000000\n"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -300,11 +302,12 @@ EVAL_REFUSED = ("error: ValueError: the padded length (times an eta power's "
       "--prec", "5"), WEIGHT_REFUSED),
     (("heckecheck", *TWIST[:6], "--R", "1", "--B", str(10 ** 4299), "--p", "5",
       "--prec", "5"), WEIGHT_REFUSED),
-    (("eval", "eta(q)^240000", "--prec", "3"), EVAL_REFUSED),
-    (("eval", "(1-q)^-100000000", "--prec", "3"), EVAL_REFUSED),
-    (("eval", "q^100000000", "--prec", "3"), EVAL_REFUSED),
-], ids=["heckecheck-R1e6", "heckecheck-B1e4299", "eval-eta-power",
-        "eval-padded-power", "eval-padded-monomial"])
+    (("eval", "eta(q)^24", "--prec", "4000000"), EVAL_WORK_REFUSED),
+    (("eval", "eta(q)^240000", "--prec", "3"), EVAL_WORK_REFUSED),
+    (("eval", "(1-q)^-100000000", "--prec", "3"), EVAL_LENGTH_REFUSED),
+    (("eval", "q^100000000", "--prec", "3"), EVAL_LENGTH_REFUSED),
+], ids=["heckecheck-R1e6", "heckecheck-B1e4299", "eval-eta-long",
+        "eval-eta-power", "eval-padded-power", "eval-padded-monomial"])
 def test_unbounded_request_exits_2_at_once(capsys, tmp_path, argv, message):
     # refused from the request alone: neither ell^R nor the weight is formed,
     # no table is built and no cache file written, and eval builds no series
@@ -683,6 +686,28 @@ def test_modulus_above_u64_caches_as_text(capsys, tmp_path, name):
     else:
         assert out == cold_out
     assert code == cold_code == (5 if name == "heckecheck" else 0)  # 5: not eigen
+
+
+@pytest.mark.parametrize("R", [150, 160])
+def test_modulus_of_any_size_caches(capsys, tmp_path, R):
+    # a name keeps its decimal modulus up to 233 bytes, NAME_MAX less the 22
+    # of its temporary name: R = 150 gives 224 bytes; R = 160 would give 237,
+    # so its modulus is spelled by a digest, and lookup matches the header
+    argv = ("heckecheck", "--delta", "-8", "--r", "4", "--p", "5", "--ell", "23",
+            "--R", str(R), "--B", "2", "--prec", "5", "--json",
+            "--cache-dir", str(tmp_path))
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (5, "")  # 5: not eigen mod 23^R
+    (path,) = tmp_path.glob("omega_*.qser")
+    digest = hashlib.sha256(str(23 ** R).encode()).hexdigest()
+    assert path.name == {150: f"omega_mod{23 ** 150}_p560.qser",
+                         160: f"omega_modsha256-{digest}_p560.qser"}[R]
+    assert len(path.name.encode()) <= cache.MAX_NAME_BYTES == 233
+    assert cache.load_coeffs(path)[0]["modulus"] == 23 ** R
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (5, "")
+    assert json.loads(out)["table_source"]["omega"] == "loaded"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize("modulus", [23, BIG], ids=["23", "23**15"])

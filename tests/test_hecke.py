@@ -175,6 +175,22 @@ def test_eigencheck_certifies(tables_mod23):
     assert rep["table_depth"]["f"] == 0
 
 
+def test_eigencheck_without_a_store_honours_also_reads(monkeypatch):
+    # a request without tables gets its own store, ensured once and also to
+    # the depth its caller reads afterwards
+    needs = []
+    ensure_all = MockTables.ensure_all
+
+    def recording(self, need):
+        needs.append((self.ring, dict(need)))
+        return ensure_all(self, need)
+
+    monkeypatch.setattr(MockTables, "ensure_all", recording)
+    rep = eigencheck(PARAMS_84, SETTING_23, 5, 0, 5, also_reads={"omega": 1000})
+    assert rep["certified"] and rep["table_depth"]["omega"] < 1000
+    assert (Ring(23), {"f": 0, "omega": 1000}) in needs
+
+
 def test_eigencheck_wrong_lambda(tables_mod23):
     rep = eigencheck(PARAMS_84, SETTING_23, 5, 1, 23, tables_mod23)
     assert not rep["certified"]

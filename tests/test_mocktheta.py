@@ -8,7 +8,6 @@ from qcong.mocktheta import (
     CPLUS_DISPATCH,
     MAX_TABLE_INDEX,
     MockTables,
-    c_plus,
     c_series,
     cplus_entry,
     f_coeffs,
@@ -203,19 +202,24 @@ def test_modular_matches_exact(m):
 
 
 def test_c_plus_examples(tables_exact):
-    assert c_plus(-8, 4, 1, tables_exact) == -4
-    assert c_plus(-8, 4, 3, tables_exact) == 0
-    assert c_plus(-8, 4, 2, tables_exact) == 12
+    c = c_series(-8, 4, 3, EXACT, tables_exact)
+    assert (c[1], c[3], c[2]) == (-4, 0, 12)
+
+
+def test_c_series_reads_omega_zero():
+    # c(1) for (-8, 4) reads a_omega(0), a need ensure_all skips as unused
+    assert required_depth(-8, 4, 1) == {"f": 0, "omega": 0}
+    assert c_series(-8, 4, 1, EXACT) == [0, -4]
 
 
 def test_c_plus_validation(tables_exact):
-    for check in (cplus_entry, lambda *a: c_plus(*a, tables_exact)):
+    for check in (cplus_entry, lambda *a: c_series(*a, EXACT, tables_exact)[a[2]]):
         with pytest.raises(ValueError):
             check(-8, 3, 1)  # 9 - (-8) = 17, not 0 mod 24
         with pytest.raises(ValueError):
-            check(-8, 4, 0)
-        with pytest.raises(ValueError):
             check(1, 1, 1)  # a square mod 24, but not negative: (1 + 1)/24
+    with pytest.raises(ValueError):
+        cplus_entry(-8, 4, 0)
 
 
 def test_cplus_entry():
@@ -232,6 +236,7 @@ def test_cplus_entry():
     # every entry agrees with the table and the key of r*d mod 12
     t = MockTables(EXACT)
     for r in (4, -4, 20):
+        c = c_series(-8, r, 39, EXACT, t)
         for d in range(1, 40):
             kind, sign = CPLUS_DISPATCH[r * d % 12]
             entry = cplus_entry(-8, r, d)
@@ -240,7 +245,7 @@ def test_cplus_entry():
                 assert entry[0] == kind
                 assert entry[1] == (sign if kind == "f" else -4 * sign)
                 value = t.ensure(kind, entry[2]).values(kind)[entry[2]]
-                assert c_plus(-8, r, d, t) == entry[1] * value
+                assert c[d] == entry[1] * value
 
 
 def test_dispatch_antisymmetry():
@@ -250,10 +255,9 @@ def test_dispatch_antisymmetry():
         assert kind == kind2 and sign == -sign2
     # realized antisymmetry: negating r negates the dictionary values
     t = MockTables(EXACT)
-    for d in range(1, 30):
-        lhs = c_plus(-8, 4, d, t)
-        rhs = c_plus(-8, -4, d, t)
-        assert lhs == -rhs
+    lhs = c_series(-8, 4, 29, EXACT, t)
+    rhs = c_series(-8, -4, 29, EXACT, t)
+    assert lhs == [-v for v in rhs]
 
 
 def test_cplus_index_exact_for_every_twist():
@@ -298,7 +302,7 @@ def test_dispatch_integrality_random():
         if (r * r - delta) % 24:
             continue
         d = rng.randint(1, 20)
-        c_plus(delta, r, d, t)  # a negative index would raise here
+        c_series(delta, r, d, EXACT, t)  # a negative index would raise here
         checked += 1
 
 

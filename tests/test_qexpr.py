@@ -12,7 +12,8 @@ from qcong.qexpr import (
     evaluate,
     parse,
 )
-from qcong.series import EXACT, ExponentMismatch, Ring, eta_product
+from qcong.series import (EXACT, ExponentMismatch, Ring, eta_product,
+                          pentagonal_coefficients)
 
 
 def test_parse_examples():
@@ -218,10 +219,41 @@ def test_eisenstein_scaled_argument():
 
 
 def test_work_bound_is_padded_length_times_eta_passes(monkeypatch):
-    # eta(q)^24 pads by 24/24 + 1 = 2 and makes 24 passes; q^k pads by k + 1
-    monkeypatch.setattr(qexpr, "MAX_EVAL_WORK", 96)
+    # an eta power counts |e| passes over the padded length L times its
+    # pentagonal terms below L; a dense product, inverse or squaring L^2/2.
+    # eta(q)^24 pads by 24/24 + 1 = 2: at prec 2, L = 4 holds the 3 terms
+    # at q^0, q^1, q^2, and 24 * 4 * 3 = 288
+    assert qexpr._work(parse("eta(q)^24"), 4) == 288
+    assert qexpr._work(parse("eta(q^2)^-3"), 5) == 3 * 5 * 3     # q^0, q^2, q^4
+    assert qexpr._work(parse("E4(q)*E4(q)"), 4) == 8
+    assert qexpr._work(parse("1/E4(q)"), 4) == 16                # invert, mul
+    assert qexpr._work(parse("E4(q)^5"), 4) == 4 * 8             # 2 sq, 2 mul
+    assert qexpr._work(parse("(q*E4(q))^-1"), 4) == 8 + 2 * 8    # inv, mul
+    assert qexpr._work(parse("(E4(q)*E4(q))^0"), 4) == 0
+    assert qexpr._work(parse("eta(q)+E4(q)-q^3"), 4) == 0
+    monkeypatch.setattr(qexpr, "MAX_EVAL_WORK", 288)
     assert evaluate(parse("eta(q)^24"), 2).coeffs == [0, 1]
+    with pytest.raises(ValueError, match="operations are above the limit 288$"):
+        evaluate(parse("eta(q)^24"), 3)  # L = 5: 24 * 5 * 3
+    # the padded length keeps its own bound; q^k pads by k + 1
+    monkeypatch.setattr(qexpr, "MAX_TABLE_INDEX", 96)
     assert evaluate(parse("q^93"), 2).coeffs == [0, 0]
-    for text, prec in (("eta(q)^24", 3), ("q^94", 2), ("(1-q)^-94", 2)):
-        with pytest.raises(ValueError, match="above the limit 96"):
-            evaluate(parse(text), prec)
+    for text in ("q^94", "(1-q)^-94"):
+        with pytest.raises(ValueError, match="padded length is above the limit 96$"):
+            evaluate(parse(text), 2)
+
+
+@pytest.mark.parametrize("scale", [1, 2, 5, 24])
+def test_work_counts_the_pentagonal_terms(scale):
+    # the closed form agrees with the terms the sparse passes walk
+    for L in range(1, 400):
+        terms = sum(1 for c in pentagonal_coefficients(scale, L) if c)
+        assert qexpr._work(("^", ("eta", scale), 1), L) == L * terms, (scale, L)
+
+
+def test_work_bound_admits_what_ran_in_seconds():
+    # eta(q)^24 to q^20000 (padded to 20002) took about 5 s, and is admitted;
+    # to q^4000000 it is refused before any series is built
+    assert qexpr._work(parse("eta(q)^24"), 20002) <= qexpr.MAX_EVAL_WORK
+    with pytest.raises(ValueError, match="above the limit"):
+        evaluate(parse("eta(q)^24"), 4000000)
