@@ -5,7 +5,8 @@ which only `cplus_entry` reads: every other caller goes through it."""
 from math import isqrt
 
 from . import cache
-from .series import EXACT, Ring, binomial_inverse_inplace
+from .series import (EXACT, Ring, _kronecker_mul, binomial_inverse_inplace,
+                     pentagonal_coefficients)
 
 
 # Power of (-q;q)_n in the denominator of f's summands.
@@ -21,22 +22,78 @@ MAX_TABLE_INDEX = 10 ** 8
 MAX_TABLE_D = isqrt(3 * MAX_TABLE_INDEX)
 
 
+def _partition_residues(length: int, m: int) -> list:
+    """1/(q;q)_inf mod m to `length` terms, by Newton inversion of the
+    pentagonal series E: g <- g + g*(1 - E*g), the precision doubling each
+    step (E*g = 1 to the old precision, so only its new terms are formed)."""
+    precs = []
+    while length > 1:
+        precs.append(length)
+        length = (length + 1) // 2
+    g = [1]
+    for n2 in reversed(precs):
+        n = len(g)
+        # E*g = 1 + q^n * high mod q^n2, so g gains -g*high mod q^(n2 - n)
+        high = _kronecker_mul([v % m for v in pentagonal_coefficients(1, n2)],
+                              g, n2, m, n)
+        g += [-v % m for v in _kronecker_mul(g, high, n2 - n, m)]
+    return g
+
+
+def _watson_numerator(N: int, parity: int, m: int) -> list:
+    """The q^(2j + parity) coefficients, j = 0, 1, ..., of Watson's numerator
+    sum_n (-1)^n q^(3n(n+1)) (1 + 2 sum_(k>=1) q^(k(2n+1))) through q^N,
+    mod m."""
+    s = [2] * ((N - parity) // 2 + 1)  # n = 0: 2 q^k for every k >= 1
+    if not parity:
+        s[0] = 1
+    n = 1
+    while 3 * n * (n + 1) <= N:
+        sign = -1 if n % 2 else 1
+        half, step = 3 * n * (n + 1) // 2, 2 * n + 1
+        if parity:  # odd k: 3n(n+1) + k(2n+1) = 2(half + n + k'(2n+1)) + 1
+            first = half + n
+        else:       # k = 0, then even k
+            s[half] += sign
+            first = half + step
+        s[first::step] = [v + 2 * sign for v in s[first::step]]
+        n += 1
+    return [v % m for v in s]
+
+
+def _omega_watson(N: int, m: int) -> list:
+    """a_omega(0..N) mod m: each parity of Watson's numerator times P(q^2)."""
+    p = [_partition_residues(N // 2 + 1, m)]
+    even = _kronecker_mul(_watson_numerator(N, 0, m), p[0], N // 2 + 1, m)
+    # popped: the product frees P once it is packed, before it multiplies
+    odd = _kronecker_mul(_watson_numerator(N, 1, m), p.pop(), (N + 1) // 2, m)
+    out = [0] * (N + 1)
+    out[::2], out[1::2] = even, odd
+    return out
+
+
 def omega_coeffs(N: int, ring: Ring = EXACT) -> list:
     """a_omega(0..N) for omega(q) = sum_n q^(2n(n+1)) / ((1-q)(1-q^3)...(1-q^(2n+1)))^2.
 
-    Nested (Horner) scheme from the deepest reachable summand outwards:
-    T_n = (1 + q^(4(n+1)) T_(n+1)) / (1 - q^(2n+1))^2 and omega = T_0, with
-    T_n kept to the N + 1 - 2n(n+1) coefficients it contributes.  Each level
-    is one binomial-inverse call, so a_omega(0..N) costs O(sqrt N) passes of
-    at most O(N) each.
+    Mod m, from Watson's form (Watson 1936)
+    omega(q) = sum_n (-1)^n q^(3n(n+1)) (1+q^(2n+1))/(1-q^(2n+1)) / (q^2;q^2)_inf:
+    the numerator, split by the parity of its exponents, times P(q^2) with
+    P = 1/(q;q)_inf, one Kronecker product per parity.
+
+    Exact, by the nested (Horner) scheme from the deepest reachable summand
+    outwards: T_n = (1 + q^(4(n+1)) T_(n+1)) / (1 - q^(2n+1))^2 and
+    omega = T_0, with T_n kept to the N + 1 - 2n(n+1) coefficients it
+    contributes.  Each level is one binomial-inverse call, so a_omega(0..N)
+    costs O(sqrt N) passes of at most O(N) each.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
-    m = ring.modulus
+    if ring.modulus:
+        return _omega_watson(N, ring.modulus)
     n = (isqrt(2 * N + 1) - 1) // 2  # the largest n with 2n(n+1) <= N
     t = [1] + [0] * (N - 2 * n * (n + 1))
     while True:
-        binomial_inverse_inplace(t, 2 * n + 1, 1, 2, m)
+        binomial_inverse_inplace(t, 2 * n + 1, 1, 2, 0)
         if n == 0:
             break
         t[:0] = [1] + [0] * (4 * n - 1)

@@ -4,9 +4,12 @@ Coefficient arrays are dense Python ints; index n holds the q^n
 coefficient.  A series has no fractional exponent: eta_product returns its
 offset in 24ths beside the series, and the expression evaluator (qexpr) is
 what tracks such offsets.  The heavy kernels are the binomial-inverse
-recurrence passes, which run as C-level cumulative sums over residue lanes.
+recurrence passes, which run as C-level cumulative sums over residue lanes,
+and the mod-m products of long lists, one product of two decimal integers
+each (Kronecker substitution).
 """
 
+import decimal
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, gcd
@@ -114,11 +117,7 @@ def binomial_inverse_inplace(coeffs: list, step: int, sign: int,
                     acc = accumulate(acc, initial=carry[1] if carry else None)
                 for _ in carry:
                     next(acc)
-                # the sums replace the lane's copy, which goes at once
-                if modulus and sign == 1:
-                    lane = [v % modulus for v in acc]  # residues, carries too
-                else:
-                    lane = list(acc)
+                lane = list(acc)  # the sums replace the lane's copy, which goes at once
                 if stop < n:
                     c2, c1 = lane[-1], lane[-1] - lane[-2]
                     if modulus:
@@ -126,10 +125,84 @@ def binomial_inverse_inplace(coeffs: list, step: int, sign: int,
                     carry = (c1, c2 - c1) if double else (c2,)
                 if sign == -1:
                     lane[odd::2] = [-v for v in lane[odd::2]]
-                    if modulus:
-                        lane = [v % modulus for v in lane]
+                if modulus:  # residues once, after the twist
+                    lane = [v % modulus for v in lane]
                 coeffs[start:stop:step] = lane
         remaining -= 2 if double else 1
+
+
+# Exact arithmetic on integers of millions of digits: no rounding, an
+# exponent range that a 2-million-digit product does not overflow, and
+# quantize() truncating toward zero.
+_KRONECKER = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                             Emin=decimal.MIN_EMIN, rounding=decimal.ROUND_DOWN)
+
+# Coefficients packed into, or read back from, one string at a time by
+# _kronecker_mul: no string or list of a whole operand is made.
+KRONECKER_CHUNK = 1 << 13
+
+
+def _pack(a: list, lo: int, hi: int, d: int):
+    """The integer sum of a[lo + i] * 10^(d*i), lo + i < hi, as a Decimal
+    built from the top chunk down."""
+    ctx, fmt = _KRONECKER, "%0" + str(d) + "d"
+    x = ctx.create_decimal(0)
+    for top in range(min(hi, len(a)), lo, -KRONECKER_CHUNK):
+        chunk = a[max(top - KRONECKER_CHUNK, lo):top]
+        chunk.reverse()
+        x = ctx.add(x.scaleb(d * len(chunk), ctx),
+                    ctx.create_decimal((fmt * len(chunk)) % tuple(chunk)))
+    return x
+
+
+def _unpack(x, n: int, start: int, modulus: int, d: int) -> list:
+    """Coefficients start..n-1, mod modulus, of x, the product of two packed
+    operands, read back a chunk at a time from the top."""
+    ctx = _KRONECKER
+    # int() refuses a string of more than 4300 digits; a Decimal does not
+    parse = int if d <= 4300 else lambda s: int(ctx.create_decimal(s))
+    out = [0] * (n - start)
+    hi = n
+    for lo in (n, *range(n - KRONECKER_CHUNK, start, -KRONECKER_CHUNK), start):
+        high = x.quantize(ctx.create_decimal("1E%d" % (lo * d)), context=ctx)
+        x = ctx.subtract(x, high)
+        if lo < hi:  # coefficients lo..hi-1; those from n up are dropped
+            s = str(high.scaleb(-lo * d, ctx)).zfill((hi - lo) * d)
+            values = [parse(s[j:j + d]) % modulus for j in range(0, len(s), d)]
+            values.reverse()
+            out[lo - start:hi - start] = values
+        hi = lo
+    return out
+
+
+def _kronecker_mul(a: list, b: list, length: int, modulus: int,
+                   start: int = 0) -> list:
+    """Coefficients start..length-1 of a*b, mod modulus, for lists of
+    residues mod modulus.
+
+    Kronecker substitution q -> 10^d: an operand becomes one decimal
+    integer, d digits per coefficient, and a product of two such integers,
+    which libmpdec computes by a number-theoretic transform, holds each
+    coefficient of the polynomial product in its own d digits: 10^d is above
+    the nonzero entries of the sparser operand times (modulus-1)^2.  The
+    transform's buffers are several times the product's size, so the
+    product is taken as three of half the length, a*b = a0*b0 + q^h (a0*b1 +
+    a1*b0) mod q^length with h = ceil(length/2), a0 and b0 the first h terms.
+    An operand passed as a temporary is freed once packed.
+    """
+    ctx = _KRONECKER
+    terms = min(length, len(a) - a.count(0), len(b) - b.count(0))
+    d = (terms * (modulus - 1) ** 2).bit_length() * 30103 // 100000 + 1
+    h = (length + 1) // 2
+    a0, a1 = _pack(a, 0, h, d), _pack(a, h, length, d)
+    del a
+    b0, b1 = _pack(b, 0, h, d), _pack(b, h, length, d)
+    del b
+    x = ctx.add(ctx.multiply(a0, b1), ctx.multiply(a1, b0))
+    del a1, b1
+    x = ctx.add(ctx.multiply(a0, b0), x.scaleb(h * d, ctx))
+    del a0, b0
+    return _unpack(x, length, start, modulus, d)
 
 
 def _convolve(a: list, b: list, out_len: int) -> list:

@@ -192,13 +192,29 @@ def test_builder_closed_form_depths():
                 assert builder(N, ring) == full[: N + 1], (builder.__name__, N)
 
 
-@pytest.mark.parametrize("m", [5, 23])
+# Depths whose P = 1/(q;q)_inf length N//2 + 1 sits at a Newton doubling
+# edge, 2^j - 1, 2^j or 2^j + 1 (j <= 12), with both parities of N.
+NEWTON_EDGE_DEPTHS = [2 * half - 2 + odd for j in range(1, 13)
+                      for half in (2 ** j - 1, 2 ** j, 2 ** j + 1) for odd in (0, 1)]
+
+
+@pytest.mark.parametrize("m", [5, 23, 529, 2 ** 64 + 13])
 def test_modular_matches_exact(m):
-    exact = omega_coeffs(2000)
-    modular = omega_coeffs(2000, Ring(m))
-    assert modular == [v % m for v in exact]
+    # exact Horner reduced mod m: the independent check of the mod-m
+    # (Watson) omega build, to 20000 and at every Newton edge
+    exact = omega_coeffs(20000)
+    assert omega_coeffs(20000, Ring(m)) == [v % m for v in exact]
+    for N in NEWTON_EDGE_DEPTHS:
+        assert omega_coeffs(N, Ring(m)) == [v % m for v in exact[:N + 1]], N
     exact_f = f_coeffs(500)
     assert f_coeffs(500, Ring(m)) == [v % m for v in exact_f]
+
+
+def test_modular_matches_exact_past_int_str_limit():
+    # 23^2856 (heckecheck --R 2856) has 3890 digits, so a Kronecker slot has
+    # about 7800: more than int() reads from a string
+    m = 23 ** 2856
+    assert omega_coeffs(560, Ring(m)) == [v % m for v in omega_coeffs(560)]
 
 
 def test_c_plus_examples(tables_exact):
@@ -368,6 +384,20 @@ def test_exact_build_peak_is_near_one_table(builder):
         tracemalloc.stop()
     assert len(table) == 8001
     assert peak <= 1.25 * size
+
+
+def test_modular_omega_build_peak():
+    # the Watson build peaks as it interleaves the two parities into the
+    # table: measured 2.50x the finished table at 50000 (and at 260416);
+    # the Horner build it replaced held 1.04x
+    tracemalloc.start()
+    try:
+        table = omega_coeffs(50000, Ring(23))
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 50001
+    assert peak <= 2.7 * size
 
 
 def test_regrow_drops_the_held_table(monkeypatch):

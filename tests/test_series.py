@@ -173,6 +173,24 @@ def test_binomial_inverse_small_chunks(monkeypatch, chunk):
         assert c == literal_binomial_inverse(start, step, sign, exponent, modulus)
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 3, 8192])
+def test_kronecker_mul_matches_convolution(monkeypatch, chunk):
+    # small chunks put pack and read-back boundaries inside every product;
+    # operands of either length, sparse ones, and a slot wider than int()
+    # reads from a string (modulus 23^2856)
+    monkeypatch.setattr(series, "KRONECKER_CHUNK", chunk)
+    rng = random.Random(chunk)
+    for modulus in (2, 23, 529, 2 ** 64 + 13, 23 ** 2856):
+        for _ in range(12):
+            length = rng.randint(1, 30)
+            a = [rng.randrange(modulus) for _ in range(rng.randint(0, 35))]
+            b = [rng.randrange(modulus) if rng.random() < 0.2 else 0
+                 for _ in range(rng.randint(0, 35))]
+            start = rng.randint(0, length)
+            expected = [v % modulus for v in series._convolve(a, b, length)][start:]
+            assert series._kronecker_mul(a, b, length, modulus, start) == expected
+
+
 def test_pow():
     a = Series(EXACT, [1, 1], prec=4)
     assert a.pow(0).coeffs == [1, 0, 0, 0]
