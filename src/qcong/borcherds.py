@@ -159,9 +159,10 @@ def check_prime(p: int, ell: int):
 class EigenData:
     """Eigenvalue data for one prime: rules out b(p^j) mod ell^R.
 
-    setting provides ell, modulus = ell^R and the weight k (hecke.CongruenceSetting);
-    p must pass check_prime.  For lambda = 0 the recursion collapses to
-    b(p^(2m+1)) = 0 and b(p^(2m)) = (-p^(k-1))^m.
+    setting provides ell, modulus = ell^R and the weight k, with p^(k-1)
+    taken at hecke_k (hecke.CongruenceSetting); p must pass check_prime.
+    For lambda = 0 the recursion collapses to b(p^(2m+1)) = 0 and
+    b(p^(2m)) = (-p^(k-1))^m.
     """
 
     def __init__(self, setting, p: int, lam: int):
@@ -171,7 +172,7 @@ class EigenData:
     def b_power(self, j: int) -> int:
         """b(p^j) mod ell^R by b(p^(i+1)) = lam b(p^i) - p^(k-1) b(p^(i-1))."""
         m = self.setting.modulus
-        pk1 = pow(self.p, self.setting.k - 1, m)
+        pk1 = pow(self.p, self.setting.hecke_k - 1, m)
         prev, cur = 0, 1 % m
         for _ in range(j):
             prev, cur = cur, (self.lam * cur - pk1 * prev) % m

@@ -78,8 +78,17 @@ def hasse_weight(ell: int, B: int, R: int) -> int:
     return 2 + (ell - 1) * ell ** (R - 1) * B
 
 
+def _euler_weight(k: int, ell: int, modulus: int) -> int:
+    """The least weight k' >= 1 with k' = k mod (ell-1) ell^(R-1), for
+    modulus = ell^R.  By Euler's theorem p^(k'-1) = p^(k-1) mod ell^R for
+    every p prime to ell, so T_p acts the same at k' as at k; k has about
+    R digits, and at R = 2856 one pow(p, k - 1, modulus) takes seconds."""
+    return 1 + (k - 1) % (modulus // ell * (ell - 1))
+
+
 class CongruenceSetting:
-    """ell, R and B of a congruence mod ell^R, with its weight k."""
+    """ell, R and B of a congruence mod ell^R, with its weight k and
+    hecke_k = _euler_weight(k), the weight its T_p and p^(k-1) are taken at."""
 
     def __init__(self, ell: int, R: int, B: int):
         if B < 1 or R < 1:
@@ -87,6 +96,7 @@ class CongruenceSetting:
         self.ell, self.R, self.B = ell, R, B
         self.k = hasse_weight(ell, B, R)
         self.modulus = ell ** R
+        self.hecke_k = _euler_weight(self.k, ell, self.modulus)
 
 
 def _depth(p: int, prec: int) -> int:
@@ -140,7 +150,7 @@ def eigencheck(params: TwistParams, setting: CongruenceSetting, p: int,
     """
     b, ring, table_depth = _expansion(params, setting, [p], prec, tables,
                                       also_reads)
-    first = _first_residual(b, p, setting.k, lam, prec, ring)
+    first = _first_residual(b, p, setting.hecke_k, lam, prec, ring)
     sturm = sturm_bound(setting.k, LEVEL)
     return {
         "delta": params.delta, "r": params.r, "ell": setting.ell,
@@ -170,7 +180,7 @@ def density_scan(params: TwistParams, setting: CongruenceSetting,
     b, ring, _ = _expansion(params, setting, primes, prec, tables)
     rows = []
     for p in primes:
-        first = _first_residual(b, p, setting.k, b[p], prec, ring)
+        first = _first_residual(b, p, setting.hecke_k, b[p], prec, ring)
         label = "other" if first else {0: "0", 2: "2"}.get(b[p], "b(p)")
         rows.append((p, label, b[p], first))
     return rows
@@ -201,6 +211,7 @@ def multiplicativity_check(phi: Series, bound: int, k: int,
         if len(fac) != 1:
             raise ValueError("modulus must be a prime power")
         ell = next(iter(fac))
+        k = _euler_weight(k, ell, m)
         for p in primes_up_to(recursion_bound):
             if p in (2, 3, ell):
                 continue

@@ -5,8 +5,8 @@ which only `cplus_entry` reads: every other caller goes through it."""
 from math import isqrt
 
 from . import cache
-from .series import (EXACT, Ring, _kronecker_mul, binomial_inverse_inplace,
-                     pentagonal_coefficients)
+from .series import (EXACT, Ring, _kronecker_mul, _slot_digits,
+                     binomial_inverse_inplace, pentagonal_coefficients)
 
 
 # Power of (-q;q)_n in the denominator of f's summands.
@@ -25,7 +25,9 @@ MAX_TABLE_D = isqrt(3 * MAX_TABLE_INDEX)
 def _partition_residues(length: int, m: int) -> list:
     """1/(q;q)_inf mod m to `length` terms, by Newton inversion of the
     pentagonal series E: g <- g + g*(1 - E*g), the precision doubling each
-    step (E*g = 1 to the old precision, so only its new terms are formed)."""
+    step (E*g = 1 to the old precision, so only its new terms are formed).
+    Each product is one multiply: g has at most half the terms of E*g, and
+    g*high is at most half the size of a final parity product."""
     precs = []
     while length > 1:
         precs.append(length)
@@ -35,8 +37,8 @@ def _partition_residues(length: int, m: int) -> list:
         n = len(g)
         # E*g = 1 + q^n * high mod q^n2, so g gains -g*high mod q^(n2 - n)
         high = _kronecker_mul([v % m for v in pentagonal_coefficients(1, n2)],
-                              g, n2, m, n)
-        g += [-v % m for v in _kronecker_mul(g, high, n2 - n, m)]
+                              g, n2, m, n, split=False)
+        g += [-v % m for v in _kronecker_mul(g, high, n2 - n, m, split=False)]
     return g
 
 
@@ -62,7 +64,8 @@ def _watson_numerator(N: int, parity: int, m: int) -> list:
 
 
 def _omega_watson(N: int, m: int) -> list:
-    """a_omega(0..N) mod m: each parity of Watson's numerator times P(q^2)."""
+    """a_omega(0..N) mod m: each parity of Watson's numerator times P(q^2),
+    each product split in three (_kronecker_mul), which bounds the peak."""
     p = [_partition_residues(N // 2 + 1, m)]
     even = _kronecker_mul(_watson_numerator(N, 0, m), p[0], N // 2 + 1, m)
     # popped: the product frees P once it is packed, before it multiplies
@@ -75,25 +78,29 @@ def _omega_watson(N: int, m: int) -> list:
 def omega_coeffs(N: int, ring: Ring = EXACT) -> list:
     """a_omega(0..N) for omega(q) = sum_n q^(2n(n+1)) / ((1-q)(1-q^3)...(1-q^(2n+1)))^2.
 
-    Mod m, from Watson's form (Watson 1936)
+    Mod m, when a Kronecker slot of the final products has at most
+    sqrt(N) digits, from Watson's form (Watson 1936)
     omega(q) = sum_n (-1)^n q^(3n(n+1)) (1+q^(2n+1))/(1-q^(2n+1)) / (q^2;q^2)_inf:
     the numerator, split by the parity of its exponents, times P(q^2) with
-    P = 1/(q;q)_inf, one Kronecker product per parity.
+    P = 1/(q;q)_inf, one Kronecker product per parity.  A wider slot makes
+    those products slower than the scheme below, the more so the smaller N.
 
-    Exact, by the nested (Horner) scheme from the deepest reachable summand
-    outwards: T_n = (1 + q^(4(n+1)) T_(n+1)) / (1 - q^(2n+1))^2 and
+    Otherwise, exact or mod m, by the nested (Horner) scheme from the
+    deepest reachable summand outwards:
+    T_n = (1 + q^(4(n+1)) T_(n+1)) / (1 - q^(2n+1))^2 and
     omega = T_0, with T_n kept to the N + 1 - 2n(n+1) coefficients it
     contributes.  Each level is one binomial-inverse call, so a_omega(0..N)
     costs O(sqrt N) passes of at most O(N) each.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
-    if ring.modulus:
-        return _omega_watson(N, ring.modulus)
+    m = ring.modulus
+    if m and _slot_digits(N // 2 + 1, m) <= isqrt(N):
+        return _omega_watson(N, m)
     n = (isqrt(2 * N + 1) - 1) // 2  # the largest n with 2n(n+1) <= N
     t = [1] + [0] * (N - 2 * n * (n + 1))
     while True:
-        binomial_inverse_inplace(t, 2 * n + 1, 1, 2, 0)
+        binomial_inverse_inplace(t, 2 * n + 1, 1, 2, m)
         if n == 0:
             break
         t[:0] = [1] + [0] * (4 * n - 1)

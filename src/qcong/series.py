@@ -142,16 +142,25 @@ _KRONECKER = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
 KRONECKER_CHUNK = 1 << 13
 
 
+def _slot_digits(terms: int, modulus: int) -> int:
+    """Decimal digits of a Kronecker slot above terms * (modulus-1)^2, the
+    largest coefficient of a product whose sparser operand has `terms`
+    nonzero residues; from bit lengths, as str() of a long bound raises."""
+    return (terms * (modulus - 1) ** 2).bit_length() * 30103 // 100000 + 1
+
+
 def _pack(a: list, lo: int, hi: int, d: int):
     """The integer sum of a[lo + i] * 10^(d*i), lo + i < hi, as a Decimal
-    built from the top chunk down."""
+    built from the top chunk down.  Each distinct residue of a chunk is
+    formatted once, and the chunk joined through that table."""
     ctx, fmt = _KRONECKER, "%0" + str(d) + "d"
     x = ctx.create_decimal(0)
     for top in range(min(hi, len(a)), lo, -KRONECKER_CHUNK):
         chunk = a[max(top - KRONECKER_CHUNK, lo):top]
         chunk.reverse()
+        slot = {v: fmt % v for v in set(chunk)}
         x = ctx.add(x.scaleb(d * len(chunk), ctx),
-                    ctx.create_decimal((fmt * len(chunk)) % tuple(chunk)))
+                    ctx.create_decimal("".join(map(slot.__getitem__, chunk))))
     return x
 
 
@@ -176,7 +185,7 @@ def _unpack(x, n: int, start: int, modulus: int, d: int) -> list:
 
 
 def _kronecker_mul(a: list, b: list, length: int, modulus: int,
-                   start: int = 0) -> list:
+                   start: int = 0, split: bool = True) -> list:
     """Coefficients start..length-1 of a*b, mod modulus, for lists of
     residues mod modulus.
 
@@ -184,15 +193,22 @@ def _kronecker_mul(a: list, b: list, length: int, modulus: int,
     integer, d digits per coefficient, and a product of two such integers,
     which libmpdec computes by a number-theoretic transform, holds each
     coefficient of the polynomial product in its own d digits: 10^d is above
-    the nonzero entries of the sparser operand times (modulus-1)^2.  The
-    transform's buffers are several times the product's size, so the
-    product is taken as three of half the length, a*b = a0*b0 + q^h (a0*b1 +
-    a1*b0) mod q^length with h = ceil(length/2), a0 and b0 the first h terms.
-    An operand passed as a temporary is freed once packed.
+    the nonzero entries of the sparser operand times (modulus-1)^2.  Without
+    `split` that is one multiply.  With it, as the transform's buffers are
+    several times the product's size, the product is taken as three of half
+    the length, a*b = a0*b0 + q^h (a0*b1 + a1*b0) mod q^length with
+    h = ceil(length/2), a0 and b0 the first h terms.  An operand passed as a
+    temporary is freed once packed.
     """
     ctx = _KRONECKER
     terms = min(length, len(a) - a.count(0), len(b) - b.count(0))
-    d = (terms * (modulus - 1) ** 2).bit_length() * 30103 // 100000 + 1
+    d = _slot_digits(terms, modulus)
+    if not split:
+        a = _pack(a, 0, length, d)
+        b = _pack(b, 0, length, d)
+        x = ctx.multiply(a, b)
+        del a, b
+        return _unpack(x, length, start, modulus, d)
     h = (length + 1) // 2
     a0, a1 = _pack(a, 0, h, d), _pack(a, h, length, d)
     del a

@@ -276,18 +276,45 @@ def test_huge_prime_exits_2_at_once(capsys, argv, message):
     assert_exits_2_at_once(capsys, argv, message)
 
 
-def assert_exits_2_at_once(capsys, argv, message):
-    # a child process with a timeout pins the exit, so an unbounded request
-    # fails the test rather than hanging it; then it is timed in process
+def run_child(argv, timeout):
+    """(exit code, stdout, stderr) of the CLI in a child process, which
+    raises subprocess.TimeoutExpired past `timeout` seconds."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(Path(qcong.__file__).parents[1]),
                       os.environ.get("PYTHONPATH")]))}
     child = subprocess.run([sys.executable, "-m", "qcong.cli", *argv], env=env,
-                           capture_output=True, text=True, timeout=10)
-    assert (child.returncode, child.stdout, child.stderr) == (2, "", message)
+                           capture_output=True, text=True, timeout=timeout)
+    return child.returncode, child.stdout, child.stderr
+
+
+def assert_exits_2_at_once(capsys, argv, message):
+    # a child process with a timeout pins the exit, so an unbounded request
+    # fails the test rather than hanging it; then it is timed in process
+    assert run_child(argv, 10) == (2, "", message)
     start = time.perf_counter()
     assert run(capsys, *argv) == (2, "", message)
     assert time.perf_counter() - start < 1
+
+
+WIDE_REQUEST = ("--delta", "-8", "--r", "4", "--p", "5", "--ell", "23",
+                "--R", "2856", "--B", "2", "--prec", "5", "--json")
+
+
+def test_wide_modulus_requests_finish_at_once(tmp_path):
+    # mod 23^2856: p^(k-1) with its exponent reduced mod (ell-1) ell^(R-1),
+    # and the omega table from Horner, as a Kronecker slot would have about
+    # 7800 digits; with the unreduced pows and the Watson build these two
+    # requests took 8 and 30 s
+    code, out, err = run_child(("heckecheck", *WIDE_REQUEST,
+                                "--cache-dir", str(tmp_path)), 5)
+    doc = json.loads(out)
+    assert (code, err) == (5, "")
+    assert doc["weight"] == hecke.hasse_weight(23, 2, 2856)
+    assert (doc["first_failure"], doc["verified_prec"]) == (1, 0)
+    assert doc["table_depth"] == {"f": 0, "omega": 560}
+    assert run_child(("certify", *WIDE_REQUEST, "--M", "1", "2",
+                      "--cache-dir", str(tmp_path)), 5) == (
+        5, "", "eigencheck failed at q^1; certification prerequisites not met\n")
 
 
 WEIGHT_REFUSED = ("error: ValueError: the weight 2 + (ell-1)*ell^(R-1)*B may have "

@@ -157,6 +157,27 @@ def test_congruence_setting():
         CongruenceSetting(23, 1, 2, k=46)
 
 
+def test_hecke_weight_reduces_the_exponent():
+    # Euler's theorem: p^(k-1) mod ell^R needs k - 1 only mod (ell-1) ell^(R-1),
+    # so T_p mod ell^R is the same at hecke_k as at the Hasse weight k, and
+    # multiplicativity_check may reduce any k
+    rng = random.Random(5)
+    for ell, R, B in ((5, 1, 2), (5, 3, 1), (7, 2, 3), (23, 1, 2), (23, 3, 2)):
+        s = CongruenceSetting(ell, R, B)
+        ring = Ring(s.modulus)
+        assert 1 <= s.hecke_k <= (ell - 1) * ell ** (R - 1) < s.k
+        g = Series(ring, [rng.randrange(s.modulus) for _ in range(200)])
+        for p in primes_up_to(50):
+            if p != ell:
+                m = s.modulus
+                assert pow(p, s.hecke_k - 1, m) == pow(p, s.k - 1, m)
+                assert (hecke_operator(g, p, s.hecke_k).coeffs
+                        == hecke_operator(g, p, s.k).coeffs), (ell, R, p)
+                k = rng.randint(1, 10 ** 6)
+                assert (pow(p, hecke_mod._euler_weight(k, ell, m) - 1, m)
+                        == pow(p, k - 1, m)), (ell, R, p, k)
+
+
 @pytest.mark.parametrize("B, R", [(0, 1), (2, 0), (-1, 1), (2, -3)])
 def test_congruence_setting_refuses_B_or_R_below_one(B, R):
     # B = 0 gives weight 2, and R = 0 the modulus ell^0 = 1: neither proves a

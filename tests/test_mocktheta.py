@@ -201,19 +201,42 @@ NEWTON_EDGE_DEPTHS = [2 * half - 2 + odd for j in range(1, 13)
 @pytest.mark.parametrize("m", [5, 23, 529, 2 ** 64 + 13])
 def test_modular_matches_exact(m):
     # exact Horner reduced mod m: the independent check of the mod-m
-    # (Watson) omega build, to 20000 and at every Newton edge
+    # omega build, to 20000, and of the Watson build at every Newton edge,
+    # where omega_coeffs may route a small depth to Horner
     exact = omega_coeffs(20000)
     assert omega_coeffs(20000, Ring(m)) == [v % m for v in exact]
     for N in NEWTON_EDGE_DEPTHS:
-        assert omega_coeffs(N, Ring(m)) == [v % m for v in exact[:N + 1]], N
+        assert mocktheta._omega_watson(N, m) == [v % m for v in exact[:N + 1]], N
     exact_f = f_coeffs(500)
     assert f_coeffs(500, Ring(m)) == [v % m for v in exact_f]
 
 
-def test_modular_matches_exact_past_int_str_limit():
-    # 23^2856 (heckecheck --R 2856) has 3890 digits, so a Kronecker slot has
-    # about 7800: more than int() reads from a string
+def refuse_watson(monkeypatch):
+    def refuse(N, m):
+        raise AssertionError(f"Watson build of {N} mod {m}")
+    monkeypatch.setattr(mocktheta, "_omega_watson", refuse)
+
+
+# edge: the first depth N that omega_coeffs builds mod m from Watson's
+# form, as a Kronecker slot of the final products, d digits with
+# 10^d > (N//2 + 1) (m-1)^2, has at most sqrt(N) digits from there on
+@pytest.mark.parametrize("m, edge", [(23, 16), (2 ** 64 + 13, 1764),
+                                     (10 ** 80 + 7, 27225)],
+                         ids=["23", "2^64+13", "10^80+7"])
+def test_omega_route_by_slot_width(monkeypatch, m, edge):
+    exact = [v % m for v in omega_coeffs(edge)]
+    assert omega_coeffs(edge, Ring(m)) == exact
+    refuse_watson(monkeypatch)
+    assert omega_coeffs(edge - 1, Ring(m)) == exact[:edge]
+    with pytest.raises(AssertionError, match=f"Watson build of {edge} mod"):
+        omega_coeffs(edge, Ring(m))
+
+
+def test_modular_matches_exact_past_int_str_limit(monkeypatch):
+    # 23^2856 (heckecheck --R 2856) has 3890 digits, so a Kronecker slot
+    # would have about 7800, far above sqrt(560): the table comes from Horner
     m = 23 ** 2856
+    refuse_watson(monkeypatch)
     assert omega_coeffs(560, Ring(m)) == [v % m for v in omega_coeffs(560)]
 
 
@@ -389,7 +412,9 @@ def test_exact_build_peak_is_near_one_table(builder):
 def test_modular_omega_build_peak():
     # the Watson build peaks as it interleaves the two parities into the
     # table: measured 2.50x the finished table at 50000 (and at 260416);
-    # the Horner build it replaced held 1.04x
+    # the unsplit Newton products stay below, at 1.67x (1.72x), and with
+    # the two parity products unsplit too the build peaked at 2.84x
+    # (2.94x); the Horner build it replaced held 1.04x
     tracemalloc.start()
     try:
         table = omega_coeffs(50000, Ring(23))

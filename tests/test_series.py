@@ -175,20 +175,33 @@ def test_binomial_inverse_small_chunks(monkeypatch, chunk):
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 8192])
 def test_kronecker_mul_matches_convolution(monkeypatch, chunk):
-    # small chunks put pack and read-back boundaries inside every product;
-    # operands of either length, sparse ones, and a slot wider than int()
-    # reads from a string (modulus 23^2856)
+    # both the split product and one multiply; small chunks put pack and
+    # read-back boundaries inside every product; operands of either length,
+    # sparse ones, all-equal and all-zero ones (one entry in a chunk's
+    # format table), Newton's E*g shape (g of at most ceil(length/2) terms,
+    # read from start = len(g)), and a slot wider than int() reads from a
+    # string (modulus 23^2856)
     monkeypatch.setattr(series, "KRONECKER_CHUNK", chunk)
     rng = random.Random(chunk)
     for modulus in (2, 23, 529, 2 ** 64 + 13, 23 ** 2856):
-        for _ in range(12):
+        for trial in range(16):
             length = rng.randint(1, 30)
             a = [rng.randrange(modulus) for _ in range(rng.randint(0, 35))]
             b = [rng.randrange(modulus) if rng.random() < 0.2 else 0
                  for _ in range(rng.randint(0, 35))]
             start = rng.randint(0, length)
+            if trial == 12:
+                a = [rng.randrange(modulus)] * len(a)
+            elif trial == 13:
+                b = [0] * len(b)
+            elif trial >= 14:
+                b = [rng.randrange(modulus)
+                     for _ in range(rng.randint(1, (length + 1) // 2))]
+                start = len(b)
             expected = [v % modulus for v in series._convolve(a, b, length)][start:]
-            assert series._kronecker_mul(a, b, length, modulus, start) == expected
+            for split in (True, False):
+                assert series._kronecker_mul(a, b, length, modulus, start,
+                                             split) == expected, split
 
 
 def test_pow():
